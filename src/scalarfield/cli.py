@@ -5,7 +5,8 @@ into summary.json so no numerical choice stays implicit.  Outputs carry no
 timestamps, so identical (config, seed) reruns are byte-identical.
 
 Exit codes: 0 success, 1 computational failure (divergence where
-convergence was expected, failed checks, IO trouble), 2 config error.
+convergence was expected, a singular Jacobian, an iteration limit, a
+floating-point error, failed checks, IO trouble), 2 config error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from . import __version__
 from .continuation import detect_fold, trace_branch
 from .discretization import build_grid
 from .exponents import check_admissible, critical_exponents
-from .operators import assemble_green, linearized_spectrum, poisson_trace
-from .solver import BracketError, estimate_kappa_star, monotone_iterate
+from .operators import (IterationLimitError, assemble_green,
+                        linearized_spectrum, poisson_trace)
+from .solver import (BracketError, NearFoldError, estimate_kappa_star,
+                     monotone_iterate)
 from .verify import (verify_gintest_scaling, verify_glaa,
                      verify_kernel_identities, verify_solution_structure)
 
@@ -400,7 +403,14 @@ def run_command(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except (NearFoldError, IterationLimitError, FloatingPointError) as exc:
+        print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .discretization import Field
 from .operators import KernelMatrix, jacobian, linearized_spectrum

@@ -18,10 +18,8 @@ distances equal rho there and the chain-rule factors add up to -2 x_N / rho.)
 For N = 1 this collapses to P(x) = exp(-x); for N = 3 to
 x_N (1 + rho) exp(-rho) / (2 pi rho^3).
 
-K0/K1 are implemented here from the classical series and asymptotic
-expansions (split at r = 9, where both sides are accurate to a few 1e-9
-relative) rather than taken from a library, and are unit-tested against an
-independent reference implementation.
+K0/K1 come from scipy.special; the tests check them independently, against
+the Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -49,93 +48,10 @@ class HalfSpacePoint:
     def reflected(self) -> np.ndarray:
         return np.array((*self.lateral, -self.height), dtype=float)
 
-_EULER_GAMMA = 0.5772156649015328606
 
-_SERIES_ASYMPTOTIC_SPLIT = 9.0
-_SERIES_TERMS = 44
-
-
-def _k01_series(x):
-    """K0 and K1 for 0 < x <= 9 from the ascending series.
-
-    K0 = -(log(x/2) + gamma) I0 + sum_{k>=1} H_k (x^2/4)^k / (k!)^2
-    K1 = 1/x + (log(x/2) + gamma) I1 - (x/4) sum_{k>=0} (H_k + H_{k+1}) t^k / (k! (k+1)!)
-
-    Evaluated in extended precision: the two halves cancel to ~exp(-2x) of
-    their size, which would cost ~8 digits at the upper end of the range.
-    """
-    x = x.astype(np.longdouble)
-    t = 0.25 * x * x
-    i0 = np.ones_like(x)
-    i1 = np.ones_like(x)          # I1 = (x/2) * i1
-    s0 = np.zeros_like(x)
-    s1 = np.ones_like(x)          # k = 0 term of the K1 sum: H_0 + H_1 = 1
-    term0 = np.ones_like(x)       # t^k / (k!)^2
-    term1 = np.ones_like(x)       # t^k / (k! (k+1)!)
-    h = 0.0
-    for k in range(1, _SERIES_TERMS):
-        term0 = term0 * t / (k * k)
-        term1 = term1 * t / (k * (k + 1))
-        h += 1.0 / k
-        i0 += term0
-        i1 += term1
-        s0 += h * term0
-        s1 += (2.0 * h + 1.0 / (k + 1)) * term1
-    lg = np.log(0.5 * x) + np.longdouble("0.577215664901532860606512090082")
-    k0 = -lg * i0 + s0
-    k1 = 1.0 / x + lg * (0.5 * x * i1) - 0.25 * x * s1
-    return k0.astype(float), k1.astype(float)
-
-
-def _k01_asymptotic(x):
-    """K0 and K1 for x >= 9, sqrt(pi/2x) e^{-x} sum_k a_k(nu)/x^k.
-
-    The divergent series is summed to its smallest term per element.
-    """
-    k0 = np.ones_like(x)
-    k1 = np.ones_like(x)
-    term0 = np.ones_like(x)
-    term1 = np.ones_like(x)
-    active0 = np.ones_like(x, dtype=bool)
-    active1 = np.ones_like(x, dtype=bool)
-    for k in range(1, 40):
-        m = 2 * k - 1
-        factor0 = -(m * m) / (8.0 * k * x)
-        factor1 = (4.0 - m * m) / (8.0 * k * x)
-        new0 = term0 * factor0
-        new1 = term1 * factor1
-        active0 &= np.abs(new0) < np.abs(term0)
-        active1 &= np.abs(new1) < np.abs(term1)
-        k0 = np.where(active0, k0 + new0, k0)
-        k1 = np.where(active1, k1 + new1, k1)
-        term0, term1 = new0, new1
-        if not (active0.any() or active1.any()):
-            break
-    front = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
-    return front * k0, front * k1
-
-
-def _k01(x):
-    x = np.asarray(x, dtype=float)
-    small = x <= _SERIES_ASYMPTOTIC_SPLIT
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    if small.any():
-        k0[small], k1[small] = _k01_series(x[small])
-    big = ~small
-    if big.any():
-        k0[big], k1[big] = _k01_asymptotic(x[big])
-    return k0, k1
-
-
-def bessel_k0(x):
-    """Modified Bessel function K0, elementwise, for x > 0."""
-    return _k01(x)[0]
-
-
-def bessel_k1(x):
-    """Modified Bessel function K1, elementwise, for x > 0."""
-    return _k01(x)[1]
+# Keep these names: fundamental_E/dE call them, and perfbench wraps them here.
+bessel_k0 = special.k0
+bessel_k1 = special.k1
 
 
 _TWO_PI = 2.0 * np.pi

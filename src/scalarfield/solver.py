@@ -9,10 +9,10 @@ so the stopping rule controls the true residual of the returned iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .discretization import Field
 from .operators import KernelMatrix, jacobian

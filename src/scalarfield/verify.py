@@ -43,6 +43,10 @@ class CheckReport:
     details: dict = field(default_factory=dict)
     samples: int = 0
 
+    def __post_init__(self):
+        # checks compute `passed` from numpy comparisons; json needs a bool
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _sample_points(rng, N: int, count: int) -> np.ndarray:
     heights = np.exp(rng.uniform(np.log(1e-3), np.log(5.0), count))

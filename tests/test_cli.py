@@ -1,10 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import scalarfield
+from scalarfield import cli
 from scalarfield.cli import (BRANCH_CSV_HEADER, OUTPUT_DIR_ENV, ConfigError,
                              load_config, run_command)
+from scalarfield.operators import IterationLimitError
+from scalarfield.solver import NearFoldError
 
 FAST_GRID = {"R": 20.0, "H": 20.0, "nodes_lateral": 1,
              "nodes_height": 400, "grading": 2.0}
@@ -131,9 +137,43 @@ class TestCommands:
             (tmp_path / "out" / "verify.json").read_text())
         assert verify[0]["passed"] is True
 
+    def test_verify_kernels_suite_half_line(self, tmp_path):
+        path = write_config(tmp_path)
+        assert run_command(["verify", "--config", path,
+                            "--suite", "kernels"]) == 0
+        verify = json.loads(
+            (tmp_path / "out" / "verify.json").read_text())
+        assert verify[0]["passed"] is True
+
     def test_output_dir_config_beats_env(self, tmp_path):
         target = tmp_path / "explicit"
         path = write_config(tmp_path, output_dir=str(target))
         assert run_command(["solve", "--config", path]) == 0
         assert (target / "summary.json").exists()
         assert not (tmp_path / "out" / "summary.json").exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [
+        NearFoldError("singular Jacobian"),
+        IterationLimitError("no convergence"),
+        FloatingPointError("singular Jacobian while forming tangent")])
+    def test_numerical_failure_exits_one(self, tmp_path, monkeypatch,
+                                         capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "trace_branch", fail)
+        path = write_config(tmp_path)
+        assert run_command(["branch", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert str(error) in err and "Traceback" not in err
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(scalarfield.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalarfield.cli", "exponents",
+             "--N", "3", "--p", "5"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "p_sobolev" in proc.stdout

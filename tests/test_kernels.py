@@ -7,17 +7,26 @@ from scalarfield.kernels import (HalfSpacePoint, bessel_k0, bessel_k1,
                                  poisson_P)
 
 
+# K0, K1 at X_TABLE to 17 significant digits (mpmath 1.3.0 at 40 digits)
+X_TABLE = np.array([0.1, 1.0, 10.0])
+K0_TABLE = np.array([2.4270690247020166, 0.42102443824070833,
+                     1.7780062316167652e-05])
+K1_TABLE = np.array([9.8538447808706056, 0.60190723019723457,
+                     1.8648773453825585e-05])
+
+
 class TestBessel:
     def test_against_reference_implementation(self):
-        # independent oracle; tight relative tolerance across both regimes
-        x = np.geomspace(1e-3, 100.0, 4000)
-        np.testing.assert_allclose(bessel_k0(x), sp.k0(x), rtol=1e-8)
-        np.testing.assert_allclose(bessel_k1(x), sp.k1(x), rtol=1e-8)
+        # tabulated high-precision values, one per regime: small, unit, tail
+        np.testing.assert_allclose(bessel_k0(X_TABLE), K0_TABLE, rtol=1e-14)
+        np.testing.assert_allclose(bessel_k1(X_TABLE), K1_TABLE, rtol=1e-14)
 
     def test_regime_split_is_seamless(self):
-        x = np.linspace(8.9, 9.1, 101)
-        np.testing.assert_allclose(bessel_k0(x), sp.k0(x), rtol=1e-8)
-        np.testing.assert_allclose(bessel_k1(x), sp.k1(x), rtol=1e-8)
+        # Wronskian I0 K1 + I1 K0 = 1/x (DLMF 10.28.2) over the whole range,
+        # across the library's switch between its expansions at x = 2
+        x = np.geomspace(1e-3, 100.0, 4000)
+        wronskian = sp.i0(x) * bessel_k1(x) + sp.i1(x) * bessel_k0(x)
+        np.testing.assert_allclose(x * wronskian, 1.0, rtol=1e-13)
 
     def test_scalar_shapes(self):
         assert np.ndim(bessel_k0(np.float64(1.0))) == 0
@@ -27,8 +36,8 @@ class TestFundamentalSolution:
     def test_closed_forms(self):
         r = np.geomspace(0.01, 10.0, 50)
         np.testing.assert_allclose(fundamental_E(1, r), 0.5 * np.exp(-r))
-        np.testing.assert_allclose(fundamental_E(2, r),
-                                   sp.k0(r) / (2.0 * np.pi), rtol=1e-8)
+        np.testing.assert_allclose(fundamental_E(2, X_TABLE),
+                                   K0_TABLE / (2.0 * np.pi), rtol=1e-14)
         np.testing.assert_allclose(fundamental_E(3, r),
                                    np.exp(-r) / (4.0 * np.pi * r))
 
@@ -120,8 +129,8 @@ class TestPoissonKernel:
 
     def test_two_dimensional_formula(self):
         pt = (0.8, 0.6)
-        expected = 2.0 * 0.6 * sp.k1(1.0) / (2.0 * np.pi * 1.0)
-        assert poisson_P(2, pt) == pytest.approx(expected, rel=1e-8)
+        expected = 2.0 * 0.6 * K1_TABLE[1] / (2.0 * np.pi * 1.0)
+        assert poisson_P(2, pt) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_translation_invariance(self):
         a = poisson_P(2, (1.5, 0.7), z=0.5)
