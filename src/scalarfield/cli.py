@@ -23,7 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .continuation import detect_fold, trace_branch
+from .continuation import (NoMinimalSolutionError, detect_fold,
+                           trace_branch)
 from .discretization import build_grid
 from .exponents import check_admissible, critical_exponents
 from .operators import (IterationLimitError, assemble_green,
@@ -275,9 +276,14 @@ def _cmd_eigen(cfg) -> int:
 def _cmd_branch(cfg) -> int:
     _, K, Pmu = _build_problem(cfg)
     prob, cont, exps = cfg["problem"], cfg["continuation"], cfg["exponents"]
-    branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
-                          step=cont["step"], max_points=int(cont["max_points"]),
-                          norm_q=exps["q"], norm_alpha=exps["alpha"])
+    try:
+        branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
+                              step=cont["step"],
+                              max_points=int(cont["max_points"]),
+                              norm_q=exps["q"], norm_alpha=exps["alpha"])
+    except NoMinimalSolutionError as exc:
+        print(f"branch: {exc}", file=sys.stderr)
+        return 1
     out_dir = _output_dir(cfg)
     csv_path = os.path.join(out_dir, "branch.csv")
     with open(csv_path, "w") as fh:

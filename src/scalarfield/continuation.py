@@ -1,10 +1,10 @@
 """Pseudo-arclength continuation of the solution branch in kappa.
 
 The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
-past the fold where the minimal and the second branch meet, using a
-bordered Newton corrector.  The bordered system is solved through a Schur
-complement on the plain Jacobian, so each corrector iteration costs one LU
-factorization plus two triangular solves.
+past the fold where the minimal and the second branch meet.  The Jacobian
+is factorized once per accepted point, where it gives the tangent; a chord
+Newton corrector then solves the bordered system with that factorization,
+one triangular solve per iteration.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ from .solver import monotone_iterate, newton_refine, psi_map
 _STEP_MIN = 1e-5
 _STEP_MAX = 0.2
 _STEP_GROW = 1.3
-_CORRECTOR_ITERS = 10
+_NEWTON_TOL = 1e-11
+_CORRECTOR_ITERS = 50
+
+
+class NoMinimalSolutionError(ValueError):
+    """The monotone iteration diverged at the start of the branch."""
 
 
 @dataclass(frozen=True)
@@ -39,59 +44,54 @@ class BranchPoint:
 class _Stepper:
     """Continuation kinematics bound to one (K, Pmu, p) problem."""
 
-    def __init__(self, K: KernelMatrix, Pmu: Field, p: float,
-                 newton_tol: float = 1e-11):
+    def __init__(self, K: KernelMatrix, Pmu: Field, p: float):
         self.K = K
         self.Pmu = Pmu
         self.p = p
-        self.newton_tol = newton_tol
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # mean-weighted product keeps the field and kappa components comparable
         return float(np.dot(a, b)) / a.size
 
-    def _lu(self, u: np.ndarray):
+    def tangent(self, u: np.ndarray,
+                previous: tuple[np.ndarray, float] | None):
+        """LU of the Jacobian at u and the unit tangent (du, dkappa) there.
+
+        The tangent solves J du = dkappa*Pmu and is oriented along the
+        direction previous = (du, dkappa); without one, dkappa > 0.
+        """
         J = jacobian(self.K, Field(self.K.grid, u), self.p)
         with np.errstate(all="ignore"):
-            return lu_factor(J, check_finite=False)
-
-    def tangent(self, u: np.ndarray, kappa: float,
-                previous: tuple[np.ndarray, float] | None):
-        """Unit tangent (du, dkappa), oriented along the previous one."""
-        lu = self._lu(u)
-        with np.errstate(all="ignore"):
+            lu = lu_factor(J, check_finite=False)
             b = lu_solve(lu, self.Pmu.values, check_finite=False)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")
-        du, dk = b, 1.0
-        scale = np.sqrt(self._dot(du, du) + dk * dk)
-        du, dk = du / scale, dk / scale
+        scale = np.sqrt(self._dot(b, b) + 1.0)
+        du, dk = b / scale, 1.0 / scale
         if previous is not None:
             if self._dot(previous[0], du) + previous[1] * dk < 0.0:
                 du, dk = -du, -dk
-        return du, dk
+        return lu, du, dk
 
-    def correct(self, u_pred: np.ndarray, kappa_pred: float,
-                u_prev: np.ndarray, kappa_prev: float,
-                du: np.ndarray, dk: float, ds: float):
-        """Bordered Newton from the predictor back onto the branch."""
-        u, kappa = u_pred.copy(), kappa_pred
+    def correct(self, u_prev: np.ndarray, kappa_prev: float, tang, ds: float):
+        """Chord Newton from the predictor at arclength ds back onto the branch.
+
+        tang = (lu, du, dk) comes from tangent() at (u_prev, kappa_prev).
+        Since J du = dk*Pmu and |(du, dk)| = 1, the bordered step is the
+        solve a = J^{-1} F plus a multiple t of the tangent.
+        """
+        lu, du, dk = tang
+        u, kappa = u_prev + ds * du, kappa_prev + ds * dk
         for _ in range(_CORRECTOR_ITERS):
             F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
             c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
-            if np.max(np.abs(F)) <= self.newton_tol and abs(c) <= self.newton_tol:
+            if np.max(np.abs(F)) <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
                 return u, kappa
-            lu = self._lu(u)
             with np.errstate(all="ignore"):
                 a = lu_solve(lu, F, check_finite=False)
-                b = lu_solve(lu, self.Pmu.values, check_finite=False)
-            denom = self._dot(du, b) + dk
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-                    and np.isfinite(denom) and denom != 0.0):
-                return None
-            dkappa = (self._dot(du, a) - c) / denom
-            u = u - a + dkappa * b
-            kappa = kappa + dkappa
+            t = self._dot(du, a) - c
+            u = u - a + t * du
+            kappa = kappa + t * dk
             if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
                 return None
         return None
@@ -131,40 +131,33 @@ def trace_branch(start_kappa: float, K: KernelMatrix, Pmu: Field, p: float,
         raise ValueError("step must be positive and max_points at least 2")
     seed = monotone_iterate(start_kappa, K, Pmu, p)
     if not seed.converged:
-        raise ValueError(f"no minimal solution at start_kappa={start_kappa:g}; "
-                         "start below the threshold")
+        raise NoMinimalSolutionError(
+            f"no minimal solution at start_kappa={start_kappa:g}; "
+            "start below the threshold")
     stepper = _Stepper(K, Pmu, p)
     u = newton_refine(seed.solution, start_kappa, K, Pmu, p).values
     kappa, s = start_kappa, 0.0
-    tang = stepper.tangent(u, kappa, None)
-    if tang[1] < 0.0:
-        tang = (-tang[0], -tang[1])
+    tang = stepper.tangent(u, None)
 
     points = [_make_point(stepper, u, kappa, s, norm_q, norm_alpha, False)]
     fold_index = None
     ds = min(step, _STEP_MAX)
     successes = 0
     while len(points) < max_points:
-        result = stepper.correct(u + ds * tang[0], kappa + ds * tang[1],
-                                 u, kappa, tang[0], tang[1], ds)
-        if result is None:
-            ds *= 0.5
-            successes = 0
-            if ds < _STEP_MIN:
-                break
-            continue
-        u_new, kappa_new = result
+        result = stepper.correct(u, kappa, tang, ds)
         try:
-            tang_new = stepper.tangent(u_new, kappa_new, tang)
+            tang_new = stepper.tangent(result[0], tang[1:]) if result else None
         except FloatingPointError:
+            tang_new = None
+        if tang_new is None:
             ds *= 0.5
             successes = 0
             if ds < _STEP_MIN:
                 break
             continue
         s += ds
-        crossed = fold_index is None and tang[1] > 0.0 and tang_new[1] < 0.0
-        u, kappa, tang = u_new, kappa_new, tang_new
+        crossed = fold_index is None and tang[2] > 0.0 and tang_new[2] < 0.0
+        (u, kappa), tang = result, tang_new
         points.append(_make_point(stepper, u, kappa, s,
                                   norm_q, norm_alpha, crossed))
         if crossed:
@@ -185,6 +178,7 @@ def detect_fold(branch: Branch, tol_dkappa: float = 1e-8,
 
     Newton iteration on dkappa(s) = 0 along the branch, using the secant
     slope of the tangent component between successive refinement states.
+    Stops at the last corrected state if a corrector step fails.
     """
     if branch.fold_index is None:
         raise ValueError("branch has no fold; trace further before detecting")
@@ -192,32 +186,25 @@ def detect_fold(branch: Branch, tol_dkappa: float = 1e-8,
     i = int(np.argmax(branch.kappas))
     pt = branch.points[i]
     u, kappa = pt.field.values.copy(), pt.kappa
-    tang = stepper.tangent(u, kappa, None)
     # orient consistently with the pre-fold direction
     prev_pt = branch.points[max(i - 1, 0)]
-    ref = (u - prev_pt.field.values, kappa - prev_pt.kappa)
-    if np.dot(ref[0], tang[0]) + ref[1] * tang[1] < 0.0:
-        tang = (-tang[0], -tang[1])
-    dk_prev, slope = tang[1], None
+    tang = stepper.tangent(u, (u - prev_pt.field.values, kappa - prev_pt.kappa))
+    slope = None
     for _ in range(max_refine):
-        if abs(tang[1]) <= tol_dkappa:
+        if abs(tang[2]) <= tol_dkappa:
             break
         if slope is None:
             # probe with a small step to estimate d(dkappa)/ds
-            ds = -np.sign(tang[1]) * 1e-3
+            ds = -np.sign(tang[2]) * 1e-3
         else:
-            ds = float(np.clip(-tang[1] / slope, -0.05, 0.05))
-        result = stepper.correct(u + ds * tang[0], kappa + ds * tang[1],
-                                 u, kappa, tang[0], tang[1], ds)
+            ds = float(np.clip(-tang[2] / slope, -0.05, 0.05))
+        result = stepper.correct(u, kappa, tang, ds)
         if result is None:
-            ds *= 0.5
-            if abs(ds) < 1e-12:
-                break
-            continue
-        u_new, kappa_new = result
-        tang_new = stepper.tangent(u_new, kappa_new, tang)
-        slope = (tang_new[1] - tang[1]) / ds
-        u, kappa, tang = u_new, kappa_new, tang_new
+            break
+        u, kappa = result
+        tang_new = stepper.tangent(u, tang[1:])
+        slope = (tang_new[2] - tang[2]) / ds
+        tang = tang_new
     fold_pt = _make_point(stepper, u, kappa, pt.arclength,
                           branch.norm_q, branch.norm_alpha, True)
     return kappa, fold_pt

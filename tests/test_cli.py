@@ -168,6 +168,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(error) in err and "Traceback" not in err
 
+    def test_branch_above_threshold_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, continuation={"start_kappa": 2.5})
+        assert run_command(["branch", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "no minimal solution" in err and "config error" not in err
+
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(scalarfield.__file__))
         env = dict(os.environ, PYTHONPATH=src)

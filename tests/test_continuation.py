@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from scalarfield.continuation import (detect_fold, solutions_at_kappa,
-                                      trace_branch)
+from scalarfield import continuation
+from scalarfield.continuation import (_Stepper, detect_fold,
+                                      solutions_at_kappa, trace_branch)
+from scalarfield.solver import psi_map
 
 from conftest import soliton
 
@@ -42,6 +44,26 @@ class TestTraceBranch:
         norms = np.array([pt.lq_alpha_norm for pt in branch.points])
         assert np.all(np.diff(norms) > 0.0)
 
+    def test_points_solve_the_fixed_point_equation(self, K_line, Pmu_line,
+                                                   branch):
+        for pt in branch.points:
+            u = pt.field.values
+            residual = u - psi_map(u, pt.kappa, K_line, Pmu_line, 3.0)
+            assert np.max(np.abs(residual)) <= 1e-10
+
+    def test_one_factorization_per_point(self, K_line, Pmu_line,
+                                         monkeypatch):
+        calls, lu_factor = [], continuation.lu_factor
+
+        def counting_lu_factor(*args, **kwargs):
+            calls.append(1)
+            return lu_factor(*args, **kwargs)
+        monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
+        short = trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.05,
+                             max_points=8)
+        assert len(short.points) == 8
+        assert len(calls) == len(short.points)
+
     def test_validation(self, K_line, Pmu_line):
         with pytest.raises(ValueError):
             trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.0)
@@ -59,6 +81,20 @@ class TestDetectFold:
         assert np.max(np.abs(pt.field.values - exact)) <= 5e-3
         assert pt.lambda_ == pytest.approx(1.0, abs=2e-2)
         assert pt.fold_flag
+
+    def test_failed_correction_returns_the_max_kappa_point(self, branch,
+                                                          monkeypatch):
+        calls = []
+
+        def fail(self, *args):
+            calls.append(1)
+            return None
+        monkeypatch.setattr(_Stepper, "correct", fail)
+        kappa_fold, pt = detect_fold(branch)
+        top = branch.points[int(np.argmax(branch.kappas))]
+        assert len(calls) == 1
+        assert kappa_fold == top.kappa
+        assert np.array_equal(pt.field.values, top.field.values)
 
     def test_requires_a_fold(self, K_line, Pmu_line):
         short = trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.05,
