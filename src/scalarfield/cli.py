@@ -4,9 +4,10 @@ Every run is reproducible from one JSON config; all defaults are echoed
 into summary.json so no numerical choice stays implicit.  Outputs carry no
 timestamps, so identical (config, seed) reruns are byte-identical.
 
-Exit codes: 0 success, 1 computational failure (divergence where
-convergence was expected, a singular Jacobian, an iteration limit, a
-floating-point error, failed checks, IO trouble), 2 config error.
+Exit codes, all mapped in `run_command`: 0 success; 1 a computational
+outcome ("<command>: <message>": no minimal solution, a bracket that does
+not straddle kappa*, a singular Jacobian, ...), failed checks or IO trouble;
+2 a config error, including a wrongly typed value or a too-large grid.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ DEFAULTS = {
     "output_dir": None,
 }
 
+# (nodes_lateral, nodes_height) for N >= 2 where the config leaves them out
+_GRID_NODES = {2: (30, 40), 3: (16, 24)}
+
 _MU_KEYS = {"point_mass": {"type", "mass", "location"},
             "radial_density": {"type", "radii", "values"}}
 
@@ -66,32 +70,44 @@ class ConfigError(Exception):
 
 
 def _merge(defaults, user, path=""):
-    if not isinstance(user, dict):
-        raise ConfigError(f"section '{path or '<root>'}' must be an object")
+    _require(isinstance(user, dict),
+             f"section '{path or '<root>'}' must be an object")
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key == "mu_spec":
             out[key] = _check_mu_spec(value, where)
             continue
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{where}'")
+        _require(key in defaults, f"unknown config key '{where}'")
         if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, where)
-        else:
-            out[key] = value
+            continue
+        _require(_typed_like(value, defaults[key]),
+                 f"'{where}' has the wrong type: {value!r}")
+        out[key] = value
     return out
 
 
+def _typed_like(value, default) -> bool:
+    """A number (not a bool), a list of numbers, or str/null for a null default."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_typed_like(v, 0) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_mu_spec(spec, where):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"'{where}' must be an object with a 'type' key")
-    kind = spec["type"]
-    if kind not in _MU_KEYS:
-        raise ConfigError(f"'{where}.type' must be one of {sorted(_MU_KEYS)}")
-    extra = set(spec) - _MU_KEYS[kind]
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} in '{where}'")
+    _require(isinstance(spec, dict) and isinstance(spec.get("type"), str),
+             f"'{where}' must be an object with a 'type' key")
+    _require(spec["type"] in _MU_KEYS,
+             f"'{where}.type' must be one of {sorted(_MU_KEYS)}")
+    extra = set(spec) - _MU_KEYS[spec["type"]]
+    _require(not extra, f"unknown keys {sorted(extra)} in '{where}'")
+    for key, value in spec.items():
+        _require(key == "type" or (key == "location" and value is None)
+                 or _typed_like(value, 1.0 if key == "mass" else []),
+                 f"'{where}.{key}' must be a number or a list of numbers")
     return copy.deepcopy(spec)
 
 
@@ -105,6 +121,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path} at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
     cfg = _merge(DEFAULTS, raw)
+    nodes = _GRID_NODES.get(cfg["problem"]["N"], ())
+    for key, n in zip(("nodes_lateral", "nodes_height"), nodes):
+        if key not in raw.get("grid", {}):
+            cfg["grid"][key] = n
     _validate(cfg)
     return cfg
 
@@ -145,10 +165,6 @@ def _output_dir(cfg) -> str:
     return out
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def _write_summary(out_dir, command, cfg, results):
     payload = {
         "command": command,
@@ -166,39 +182,49 @@ def _write_summary(out_dir, command, cfg, results):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _write_csv(path, columns, header, fmt=FLOAT_FMT):
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+               header=header, comments="")
 
 
 def _write_solution_csv(out_dir, grid, values, kappa):
-    name = f"solution_{kappa:g}.csv"
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        if grid.dimension == 1:
-            fh.write("height,value\n")
-            for z, v in zip(grid.heights, values):
-                fh.write(f"{_fmt(z)},{_fmt(v)}\n")
-        else:
-            fh.write("radius,height,value\n")
-            for r, z, v in zip(grid.radii, grid.heights, values):
-                fh.write(f"{_fmt(r)},{_fmt(z)},{_fmt(v)}\n")
-    return path
+    path = os.path.join(out_dir, f"solution_{kappa:g}.csv")
+    if grid.dimension == 1:
+        _write_csv(path, (grid.heights, values), "height,value")
+    else:
+        _write_csv(path, (grid.radii, grid.heights, values),
+                   "radius,height,value")
+
+
+def _grid(cfg):
+    gc = cfg["grid"]
+    return build_grid(cfg["problem"]["N"], gc["R"], gc["H"],
+                      int(gc["nodes_lateral"]), int(gc["nodes_height"]),
+                      gc["grading"])
 
 
 def _build_problem(cfg):
-    prob, gc = cfg["problem"], cfg["grid"]
-    grid = build_grid(prob["N"], gc["R"], gc["H"], int(gc["nodes_lateral"]),
-                      int(gc["nodes_height"]), gc["grading"])
+    grid = _grid(cfg)
     K = assemble_green(grid)
-    Pmu = poisson_trace(grid, prob["mu_spec"])
+    Pmu = poisson_trace(grid, cfg["problem"]["mu_spec"])
     return grid, K, Pmu
+
+
+def _minimal_solution(cfg, K, Pmu):
+    prob, solv = cfg["problem"], cfg["solver"]
+    return monotone_iterate(prob["kappa"], K, Pmu, prob["p"],
+                            tol=solv["tol"], max_iter=int(solv["max_iter"]),
+                            blowup_cap=solv["blowup_cap"])
 
 
 def _cmd_exponents(args) -> int:
     N, p = args.N, args.p
     crit = critical_exponents(N)
     print(f"N = {N}")
-    print(f"p_sobolev = {_fmt(crit.p_sobolev)}")
-    print(f"p_joseph_lundgren = {_fmt(crit.p_joseph_lundgren)}")
+    print(f"p_sobolev = {FLOAT_FMT % crit.p_sobolev}")
+    print(f"p_joseph_lundgren = {FLOAT_FMT % crit.p_joseph_lundgren}")
     admissible = 0
     total = 0
     q_hi = max(4 * p, 3 * N * (p - 1))  # keep the scan inside reach of N/q + alpha < 2/(p-1)
@@ -214,10 +240,8 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_solve(cfg) -> int:
     grid, K, Pmu = _build_problem(cfg)
-    prob, solv = cfg["problem"], cfg["solver"]
-    result = monotone_iterate(prob["kappa"], K, Pmu, prob["p"],
-                              tol=solv["tol"], max_iter=int(solv["max_iter"]),
-                              blowup_cap=solv["blowup_cap"])
+    prob = cfg["problem"]
+    result = _minimal_solution(cfg, K, Pmu)
     out_dir = _output_dir(cfg)
     results = {"status": result.status, "iterations": result.iterations,
                "residual_sup": result.residual_sup}
@@ -237,15 +261,12 @@ def _cmd_solve(cfg) -> int:
 def _cmd_kappa_star(cfg) -> int:
     _, K, Pmu = _build_problem(cfg)
     prob, solv = cfg["problem"], cfg["solver"]
-    try:
-        est = estimate_kappa_star(K, Pmu, prob["p"],
-                                  bracket=tuple(solv["bracket"]),
-                                  tol=solv["kappa_star_tol"],
-                                  solver_tol=solv["tol"],
-                                  blowup_cap=solv["blowup_cap"])
-    except BracketError as exc:
-        print(f"kappa-star: {exc}", file=sys.stderr)
-        return 1
+    est = estimate_kappa_star(K, Pmu, prob["p"],
+                              bracket=tuple(solv["bracket"]),
+                              tol=solv["kappa_star_tol"],
+                              solver_tol=solv["tol"],
+                              max_iter=int(solv["max_iter"]),
+                              blowup_cap=solv["blowup_cap"])
     results = {"kappa_star": {"lower": est.lower, "upper": est.upper,
                               "width": est.width,
                               "evaluations": est.evaluations}}
@@ -256,9 +277,7 @@ def _cmd_kappa_star(cfg) -> int:
 def _cmd_eigen(cfg) -> int:
     grid, K, Pmu = _build_problem(cfg)
     prob, solv = cfg["problem"], cfg["solver"]
-    result = monotone_iterate(prob["kappa"], K, Pmu, prob["p"],
-                              tol=solv["tol"], max_iter=int(solv["max_iter"]),
-                              blowup_cap=solv["blowup_cap"])
+    result = _minimal_solution(cfg, K, Pmu)
     if not result.converged:
         print(f"eigen: no minimal solution at kappa={prob['kappa']:g} "
               f"({result.status})", file=sys.stderr)
@@ -276,25 +295,20 @@ def _cmd_eigen(cfg) -> int:
 def _cmd_branch(cfg) -> int:
     _, K, Pmu = _build_problem(cfg)
     prob, cont, exps = cfg["problem"], cfg["continuation"], cfg["exponents"]
-    try:
-        branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
-                              step=cont["step"],
-                              max_points=int(cont["max_points"]),
-                              norm_q=exps["q"], norm_alpha=exps["alpha"])
-    except NoMinimalSolutionError as exc:
-        print(f"branch: {exc}", file=sys.stderr)
-        return 1
+    branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
+                          step=cont["step"],
+                          max_points=int(cont["max_points"]),
+                          norm_q=exps["q"], norm_alpha=exps["alpha"])
     out_dir = _output_dir(cfg)
-    csv_path = os.path.join(out_dir, "branch.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(BRANCH_CSV_HEADER + "\n")
-        for i, pt in enumerate(branch.points):
-            fh.write(",".join([str(i), _fmt(pt.kappa), _fmt(pt.sup_norm),
-                               _fmt(pt.lq_alpha_norm), _fmt(pt.lambda_),
-                               _fmt(pt.arclength),
-                               str(int(pt.fold_flag))]) + "\n")
-    results = {"points": len(branch.points), "fold_index": branch.fold_index}
-    lambdas = [pt.lambda_ for pt in branch.points]
+    pts = branch.points
+    columns = [[getattr(pt, name) for pt in pts] for name in
+               ("kappa", "sup_norm", "lq_alpha_norm", "lambda_", "arclength",
+                "fold_flag")]
+    _write_csv(os.path.join(out_dir, "branch.csv"),
+               [np.arange(len(pts))] + columns, BRANCH_CSV_HEADER,
+               fmt=["%d"] + [FLOAT_FMT] * 5 + ["%d"])
+    results = {"points": len(pts), "fold_index": branch.fold_index}
+    lambdas = [pt.lambda_ for pt in pts]
     crossing = next((i for i in range(len(lambdas) - 1)
                      if (lambdas[i] - 1.0) * (lambdas[i + 1] - 1.0) < 0.0), None)
     results["lambda_crossing_index"] = crossing
@@ -318,10 +332,7 @@ def _cmd_verify(cfg, suite: str) -> int:
     N, seed = prob["N"], cfg["seed"]
     reports = []
     if suite in ("kernels", "all"):
-        gc = cfg["grid"]
-        grid = build_grid(N, gc["R"], gc["H"], int(gc["nodes_lateral"]),
-                          int(gc["nodes_height"]), gc["grading"])
-        reports.append(verify_kernel_identities(grid, N, seed=seed))
+        reports.append(verify_kernel_identities(_grid(cfg), N, seed=seed))
     if suite in ("gintest", "all"):
         for trip in _GINTEST_TRIPLES[N]:
             reports.append(verify_gintest_scaling(*trip))
@@ -379,18 +390,10 @@ def run_command(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "exponents":
-        try:
+    try:
+        if args.command == "exponents":
             return _cmd_exponents(args)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "solve":
             return _cmd_solve(cfg)
         if args.command == "kappa-star":
@@ -400,17 +403,16 @@ def run_command(argv=None) -> int:
         if args.command == "branch":
             return _cmd_branch(cfg)
         return _cmd_verify(cfg, args.suite)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # first, because BracketError and NoMinimalSolutionError are ValueErrors
+    except (BracketError, NoMinimalSolutionError, NearFoldError,
+            IterationLimitError, FloatingPointError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except (NearFoldError, IterationLimitError, FloatingPointError) as exc:
-        print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

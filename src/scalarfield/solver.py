@@ -146,10 +146,6 @@ def _classify(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
                               blowup_cap=blowup_cap)
     if result.status != "iteration_limit":
         return result.status
-    result = monotone_iterate(kappa, K, Pmu, p, tol=tol,
-                              max_iter=10 * max_iter, blowup_cap=blowup_cap)
-    if result.status != "iteration_limit":
-        return result.status
     # very slow dynamics near the threshold: a contracting increment tail
     # means the iteration is still headed for a fixed point
     tail = result.increments[-10:]
@@ -160,9 +156,10 @@ def _classify(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
 def estimate_kappa_star(K: KernelMatrix, Pmu: Field, p: float,
                         bracket: tuple[float, float] = (0.05, 3.0),
                         tol: float = 1e-2, solver_tol: float = 1e-8,
-                        max_iter: int = 10_000,
+                        max_iter: int = 100_000,
                         blowup_cap: float = 1e6) -> KappaStarEstimate:
-    """Bisect for the threshold between convergence and blow-up in kappa."""
+    """Bisect for the threshold between convergence and blow-up in kappa;
+    max_iter caps the single monotone run of each probe."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < lower < upper, got {bracket}")

@@ -10,7 +10,8 @@ from scalarfield import cli
 from scalarfield.cli import (BRANCH_CSV_HEADER, OUTPUT_DIR_ENV, ConfigError,
                              load_config, run_command)
 from scalarfield.operators import IterationLimitError
-from scalarfield.solver import NearFoldError
+from scalarfield.solver import KappaStarEstimate, NearFoldError
+from scalarfield.verify import CheckReport
 
 FAST_GRID = {"R": 20.0, "H": 20.0, "nodes_lateral": 1,
              "nodes_height": 400, "grading": 2.0}
@@ -61,6 +62,28 @@ class TestConfigLoading:
         assert cfg["problem"]["p"] == 3.0
         assert cfg["solver"]["tol"] == 1e-8
         assert cfg["grid"]["nodes_height"] == 400
+
+    @pytest.mark.parametrize("overrides", [
+        {"problem": {"p": "3"}},
+        {"problem": {"kappa": "1"}},
+        {"solver": {"bracket": [0.5, "a"]}},
+        {"continuation": {"max_points": None}},
+        {"exponents": {"q": [4]}},
+        {"grid": {"R": None}},
+        {"problem": {"mu_spec": {"type": "point_mass", "mass": None}}},
+        {"output_dir": 5}])
+    def test_wrongly_typed_values_rejected(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match="number|type"):
+            load_config(path)
+        assert run_command(["solve", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_default_grid_fits_every_dimension(self, tmp_path, N):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"problem": {"N": N, "kappa": 0.5}}))
+        assert run_command(["solve", "--config", str(path)]) == 0
 
     def test_missing_file(self, tmp_path):
         assert run_command(["solve", "--config",
@@ -153,7 +176,44 @@ class TestCommands:
         assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def _failing_check(*args, **kwargs):
+    return CheckReport(name="kernel_identities", passed=False, statistic=1.0)
+
+
 class TestExitCodes:
+    # a case with config overrides runs with "--config <file>" appended
+    @pytest.mark.parametrize("argv, overrides, patch, code, message", [
+        (["frobnicate"], None, None, 2, ""),
+        (["exponents", "--N", "0", "--p", "3"], None, None, 2, "config error"),
+        (["solve"], {"grid": dict(FAST_GRID, nodes_height=20001)}, None, 2,
+         "cap"),
+        (["solve"], {"problem": {"mu_spec": {
+            "type": "radial_density", "radii": [0.0, 1.0],
+            "values": [1.0, 0.0]}}}, None, 2, "config error"),
+        (["eigen"], {"problem": {"kappa": 2.0}}, None, 1,
+         "eigen: no minimal solution"),
+        (["kappa-star"], {"solver": {"bracket": [1.6, 2.5]}}, None, 1,
+         "kappa-star: lower bracket end"),
+        (["solve"], {"output_dir": "taken"}, None, 1, "io error"),
+        (["verify", "--suite", "kernels"], {},
+         ("verify_kernel_identities", _failing_check), 1, ""),
+    ], ids=["unknown-command", "exponents-N0", "node-cap", "radial-N1",
+            "eigen-above-threshold", "bracket-below-threshold",
+            "output-dir-is-file", "verify-check-fails"])
+    def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
+                             overrides, patch, code, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        if patch:
+            monkeypatch.setattr(cli, *patch)
+        if overrides is not None:
+            argv = argv + ["--config", write_config(tmp_path, **overrides)]
+        assert run_command(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if code == 2 and message:
+            assert "config error" in err
+
     @pytest.mark.parametrize("error", [
         NearFoldError("singular Jacobian"),
         IterationLimitError("no convergence"),
@@ -173,6 +233,17 @@ class TestExitCodes:
         assert run_command(["branch", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "no minimal solution" in err and "config error" not in err
+
+    def test_kappa_star_gets_solver_max_iter(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return KappaStarEstimate(lower=1.0, upper=2.0, evaluations=2)
+        monkeypatch.setattr(cli, "estimate_kappa_star", spy)
+        path = write_config(tmp_path, solver={"max_iter": 1234})
+        assert run_command(["kappa-star", "--config", path]) == 0
+        assert seen["max_iter"] == 1234
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(scalarfield.__file__))

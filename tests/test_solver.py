@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scalarfield import solver
 from scalarfield.discretization import Field, build_grid
 from scalarfield.operators import assemble_green, poisson_trace
 from scalarfield.solver import (BracketError, NearFoldError,
@@ -119,6 +120,23 @@ class TestKappaStar:
         Pmu2 = poisson_trace(grid_line, {"type": "point_mass", "mass": 2.0})
         est = estimate_kappa_star(K_line, Pmu2, 3.0, bracket=(0.3, 1.5))
         assert est.lower <= np.sqrt(2.0) / 2.0 <= est.upper
+
+    # at 200 the probe at 1.4140625 reaches the cap and the increment tail
+    # classifies it; at 2000 it converges after 546 iterations
+    @pytest.mark.parametrize("max_iter", [200, 2000])
+    def test_one_monotone_run_per_evaluation(self, K_line, Pmu_line,
+                                             monkeypatch, max_iter):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["max_iter"])
+            return monotone_iterate(*args, **kwargs)
+        monkeypatch.setattr(solver, "monotone_iterate", spy)
+        est = estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5),
+                                  max_iter=max_iter)
+        assert len(calls) == est.evaluations
+        assert set(calls) == {max_iter}
+        assert (est.lower, est.upper) == (1.4140625, 1.421875)
 
     def test_bad_brackets(self, K_line, Pmu_line):
         with pytest.raises(BracketError):
