@@ -89,12 +89,14 @@ def _merge(defaults, user, path=""):
 
 
 def _typed_like(value, default) -> bool:
-    """A number (not a bool), a list of numbers, or str/null for a null default."""
+    """An int for an int default, a number for a float one (never a bool),
+    a list of numbers, or str/null for a null default."""
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_typed_like(v, 0) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return isinstance(value, list) and all(_typed_like(v, 0.0) for v in value)
+    kinds = int if isinstance(default, int) else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _check_mu_spec(spec, where):
@@ -143,20 +145,19 @@ def _validate(cfg):
     _require(cfg["exponents"]["q"] > 1, "exponents.q must exceed 1")
     _require(cfg["exponents"]["alpha"] >= 0, "exponents.alpha must be >= 0")
     _require(grid["R"] > 0 and grid["H"] > 0, "grid extents must be positive")
-    _require(int(grid["nodes_height"]) >= 2, "grid.nodes_height must be >= 2")
-    _require(prob["N"] == 1 or int(grid["nodes_lateral"]) >= 2,
+    _require(grid["nodes_height"] >= 2, "grid.nodes_height must be >= 2")
+    _require(prob["N"] == 1 or grid["nodes_lateral"] >= 2,
              "grid.nodes_lateral must be >= 2 for N >= 2")
     _require(grid["grading"] >= 1, "grid.grading must be >= 1")
     _require(solv["tol"] > 0 and solv["blowup_cap"] > 0
-             and int(solv["max_iter"]) >= 1, "solver settings must be positive")
+             and solv["max_iter"] >= 1, "solver settings must be positive")
     br = solv["bracket"]
     _require(isinstance(br, (list, tuple)) and len(br) == 2
              and 0 < br[0] < br[1], "solver.bracket must be [lower, upper] with "
              "0 < lower < upper")
     _require(solv["kappa_star_tol"] > 0, "solver.kappa_star_tol must be positive")
     _require(cont["start_kappa"] > 0 and cont["step"] > 0
-             and int(cont["max_points"]) >= 2, "continuation settings invalid")
-    _require(isinstance(cfg["seed"], int), "seed must be an integer")
+             and cont["max_points"] >= 2, "continuation settings invalid")
 
 
 def _output_dir(cfg) -> str:
@@ -201,8 +202,7 @@ def _write_solution_csv(out_dir, grid, values, kappa):
 def _grid(cfg):
     gc = cfg["grid"]
     return build_grid(cfg["problem"]["N"], gc["R"], gc["H"],
-                      int(gc["nodes_lateral"]), int(gc["nodes_height"]),
-                      gc["grading"])
+                      gc["nodes_lateral"], gc["nodes_height"], gc["grading"])
 
 
 def _build_problem(cfg):
@@ -215,7 +215,7 @@ def _build_problem(cfg):
 def _minimal_solution(cfg, K, Pmu):
     prob, solv = cfg["problem"], cfg["solver"]
     return monotone_iterate(prob["kappa"], K, Pmu, prob["p"],
-                            tol=solv["tol"], max_iter=int(solv["max_iter"]),
+                            tol=solv["tol"], max_iter=solv["max_iter"],
                             blowup_cap=solv["blowup_cap"])
 
 
@@ -265,7 +265,7 @@ def _cmd_kappa_star(cfg) -> int:
                               bracket=tuple(solv["bracket"]),
                               tol=solv["kappa_star_tol"],
                               solver_tol=solv["tol"],
-                              max_iter=int(solv["max_iter"]),
+                              max_iter=solv["max_iter"],
                               blowup_cap=solv["blowup_cap"])
     results = {"kappa_star": {"lower": est.lower, "upper": est.upper,
                               "width": est.width,
@@ -296,8 +296,7 @@ def _cmd_branch(cfg) -> int:
     _, K, Pmu = _build_problem(cfg)
     prob, cont, exps = cfg["problem"], cfg["continuation"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
-                          step=cont["step"],
-                          max_points=int(cont["max_points"]),
+                          step=cont["step"], max_points=cont["max_points"],
                           norm_q=exps["q"], norm_alpha=exps["alpha"])
     out_dir = _output_dir(cfg)
     pts = branch.points
@@ -332,7 +331,7 @@ def _cmd_verify(cfg, suite: str) -> int:
     N, seed = prob["N"], cfg["seed"]
     reports = []
     if suite in ("kernels", "all"):
-        reports.append(verify_kernel_identities(_grid(cfg), N, seed=seed))
+        reports.append(verify_kernel_identities(_grid(cfg), seed=seed))
     if suite in ("gintest", "all"):
         for trip in _GINTEST_TRIPLES[N]:
             reports.append(verify_gintest_scaling(*trip))

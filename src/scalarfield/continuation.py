@@ -24,6 +24,8 @@ _STEP_MAX = 0.2
 _STEP_GROW = 1.3
 _NEWTON_TOL = 1e-11
 _CORRECTOR_ITERS = 50
+_FOLD_TOL = 1e-8
+_FOLD_REFINE = 40
 
 
 class NoMinimalSolutionError(ValueError):
@@ -78,7 +80,9 @@ class _Stepper:
 
         tang = (lu, du, dk) comes from tangent() at (u_prev, kappa_prev).
         Since J du = dk*Pmu and |(du, dk)| = 1, the bordered step is the
-        solve a = J^{-1} F plus a multiple t of the tangent.
+        solve a = J^{-1} F plus a multiple t of the tangent.  Returns
+        (u, kappa, tangent oriented along (du, dk)) at the corrected point,
+        or None if the chord fails or the Jacobian there is singular.
         """
         lu, du, dk = tang
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
@@ -86,7 +90,10 @@ class _Stepper:
             F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
             c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
             if np.max(np.abs(F)) <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
-                return u, kappa
+                try:
+                    return u, kappa, self.tangent(u, (du, dk))
+                except FloatingPointError:
+                    return None
             with np.errstate(all="ignore"):
                 a = lu_solve(lu, F, check_finite=False)
             t = self._dot(du, a) - c
@@ -145,19 +152,15 @@ def trace_branch(start_kappa: float, K: KernelMatrix, Pmu: Field, p: float,
     successes = 0
     while len(points) < max_points:
         result = stepper.correct(u, kappa, tang, ds)
-        try:
-            tang_new = stepper.tangent(result[0], tang[1:]) if result else None
-        except FloatingPointError:
-            tang_new = None
-        if tang_new is None:
+        if result is None:
             ds *= 0.5
             successes = 0
             if ds < _STEP_MIN:
                 break
             continue
         s += ds
-        crossed = fold_index is None and tang[2] > 0.0 and tang_new[2] < 0.0
-        (u, kappa), tang = result, tang_new
+        crossed = fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0
+        u, kappa, tang = result
         points.append(_make_point(stepper, u, kappa, s,
                                   norm_q, norm_alpha, crossed))
         if crossed:
@@ -172,8 +175,7 @@ def trace_branch(start_kappa: float, K: KernelMatrix, Pmu: Field, p: float,
                   norm_q=norm_q, norm_alpha=norm_alpha)
 
 
-def detect_fold(branch: Branch, tol_dkappa: float = 1e-8,
-                max_refine: int = 40) -> tuple[float, BranchPoint]:
+def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
     """Locate the fold by driving the kappa component of the tangent to zero.
 
     Newton iteration on dkappa(s) = 0 along the branch, using the secant
@@ -190,8 +192,8 @@ def detect_fold(branch: Branch, tol_dkappa: float = 1e-8,
     prev_pt = branch.points[max(i - 1, 0)]
     tang = stepper.tangent(u, (u - prev_pt.field.values, kappa - prev_pt.kappa))
     slope = None
-    for _ in range(max_refine):
-        if abs(tang[2]) <= tol_dkappa:
+    for _ in range(_FOLD_REFINE):
+        if abs(tang[2]) <= _FOLD_TOL:
             break
         if slope is None:
             # probe with a small step to estimate d(dkappa)/ds
@@ -201,8 +203,7 @@ def detect_fold(branch: Branch, tol_dkappa: float = 1e-8,
         result = stepper.correct(u, kappa, tang, ds)
         if result is None:
             break
-        u, kappa = result
-        tang_new = stepper.tangent(u, tang[1:])
+        u, kappa, tang_new = result
         slope = (tang_new[2] - tang[2]) / ds
         tang = tang_new
     fold_pt = _make_point(stepper, u, kappa, pt.arclength,

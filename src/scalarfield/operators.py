@@ -26,6 +26,9 @@ MAX_MATRIX_NODES = 20_000
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
+_SPECTRUM_ITERS = 20_000
+_SVD_TOL = 1e-10
+_SVD_ITERS = 500
 
 
 class IterationLimitError(RuntimeError):
@@ -217,7 +220,7 @@ class EigenResult:
 
 
 def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
-                        tol: float = 1e-8, max_iter: int = 20_000) -> EigenResult:
+                        tol: float = 1e-8) -> EigenResult:
     """Power iteration for the dominant eigenpair of h -> G[p u^{p-1} h]."""
     weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
     if not np.any(weights > 0.0):
@@ -226,7 +229,7 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
     psi = np.ones(K.grid.n_nodes)
     rho = 0.0
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SPECTRUM_ITERS + 1):
         v = M @ psi
         rho = float(v[np.argmax(np.abs(v))])
         if rho == 0.0:
@@ -239,7 +242,7 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
                                iterations=it, residual=residual)
         psi = v / rho
     raise IterationLimitError(
-        f"power iteration did not reach tol={tol:g} in {max_iter} steps "
+        f"power iteration did not reach tol={tol:g} in {_SPECTRUM_ITERS} steps "
         f"(residual {residual:.3e})", residual=residual)
 
 
@@ -251,8 +254,7 @@ def jacobian(K: KernelMatrix, u: Field, p: float) -> np.ndarray:
     return J
 
 
-def smallest_singular_value(J: np.ndarray, tol: float = 1e-10,
-                            max_iter: int = 500) -> float:
+def smallest_singular_value(J: np.ndarray) -> float:
     """Smallest singular value of J by inverse power iteration on J^T J.
 
     Returns 0.0 if J is numerically singular.
@@ -265,7 +267,7 @@ def smallest_singular_value(J: np.ndarray, tol: float = 1e-10,
         lu = lu_factor(J, check_finite=False)
         x = np.ones(n) / np.sqrt(n)
         sigma = np.inf
-        for _ in range(max_iter):
+        for _ in range(_SVD_ITERS):
             y = lu_solve(lu, x, trans=1, check_finite=False)
             v = lu_solve(lu, y, trans=0, check_finite=False)
             norm = np.linalg.norm(v)
@@ -273,7 +275,7 @@ def smallest_singular_value(J: np.ndarray, tol: float = 1e-10,
                 return 0.0
             new_sigma = 1.0 / np.sqrt(norm)
             x = v / norm
-            if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+            if abs(new_sigma - sigma) <= _SVD_TOL * max(new_sigma, 1e-300):
                 return new_sigma
             sigma = new_sigma
     return sigma

@@ -18,6 +18,8 @@ from .discretization import Field
 from .operators import KernelMatrix, jacobian
 
 _DIVERGENCE_STREAK = 20
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 50
 
 
 class BracketError(ValueError):
@@ -35,7 +37,6 @@ class SolveResult:
     iterations: int
     residual_sup: float
     increments: np.ndarray      # sup |U_{j+1} - U_j| per step
-    recorded: tuple = ()        # first few iterates, when requested
 
     @property
     def converged(self) -> bool:
@@ -50,61 +51,52 @@ def psi_map(values: np.ndarray, kappa: float, K: KernelMatrix,
 
 def monotone_iterate(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
                      tol: float = 1e-8, max_iter: int = 100_000,
-                     blowup_cap: float = 1e6, start_zero: bool = False,
-                     record_iterates: int = 0) -> SolveResult:
-    """Iterate the fixed-point map from below until convergence or blow-up."""
+                     blowup_cap: float = 1e6) -> SolveResult:
+    """Iterate the fixed-point map from U_0 = Pmu until convergence or blow-up."""
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if tol <= 0.0 or max_iter < 1 or blowup_cap <= 0.0:
         raise ValueError("tol, max_iter and blowup_cap must be positive")
-    u = np.zeros(K.grid.n_nodes) if start_zero else Pmu.values.copy()
+    u = Pmu.values.copy()
     increments = []
-    recorded = []
     growth_streak = 0
+    status = "iteration_limit"
     for it in range(1, max_iter + 1):
-        if record_iterates and len(recorded) < record_iterates:
-            recorded.append(u.copy())
         nxt = psi_map(u, kappa, K, Pmu, p)
         inc = float(np.max(np.abs(nxt - u)))
         increments.append(inc)
         sup = float(np.max(nxt))
-        if not np.isfinite(sup) or sup > blowup_cap:
-            return SolveResult(status="diverged", solution=None, iterations=it,
-                               residual_sup=np.inf,
-                               increments=np.array(increments),
-                               recorded=tuple(recorded))
         if len(increments) >= 2 and inc > increments[-2]:
             growth_streak += 1
-            if growth_streak >= _DIVERGENCE_STREAK:
-                return SolveResult(status="diverged", solution=None,
-                                   iterations=it, residual_sup=np.inf,
-                                   increments=np.array(increments),
-                                   recorded=tuple(recorded))
         else:
             growth_streak = 0
+        if (not np.isfinite(sup) or sup > blowup_cap
+                or growth_streak >= _DIVERGENCE_STREAK):
+            status = "diverged"
+            break
         if inc <= tol * sup:
-            residual = float(np.max(np.abs(psi_map(nxt, kappa, K, Pmu, p) - nxt)))
-            return SolveResult(status="converged", solution=Field(K.grid, nxt),
-                               iterations=it, residual_sup=residual,
-                               increments=np.array(increments),
-                               recorded=tuple(recorded))
+            status = "converged"
+            break
         u = nxt
-    return SolveResult(status="iteration_limit", solution=Field(K.grid, u),
-                       iterations=max_iter,
-                       residual_sup=float(increments[-1]),
-                       increments=np.array(increments),
-                       recorded=tuple(recorded))
+    if status == "diverged":
+        solution, residual = None, np.inf
+    else:
+        solution = Field(K.grid, nxt)
+        residual = (float(np.max(np.abs(psi_map(nxt, kappa, K, Pmu, p) - nxt)))
+                    if status == "converged" else increments[-1])
+    return SolveResult(status=status, solution=solution, iterations=it,
+                       residual_sup=residual, increments=np.array(increments))
 
 
 def newton_refine(u0: Field, kappa: float, K: KernelMatrix, Pmu: Field,
-                  p: float, tol: float = 1e-12, max_iter: int = 50) -> Field:
+                  p: float) -> Field:
     """Newton's method on F(u) = u - kappa*Pmu - G[u_+^p] from the seed u0."""
     u = u0.values.copy()
     prev_res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         F = u - psi_map(u, kappa, K, Pmu, p)
         res = float(np.max(np.abs(F)))
-        if res <= tol:
+        if res <= _NEWTON_TOL:
             return Field(K.grid, u)
         J = jacobian(K, Field(K.grid, u), p)
         with np.errstate(all="ignore"):
@@ -112,13 +104,13 @@ def newton_refine(u0: Field, kappa: float, K: KernelMatrix, Pmu: Field,
             step = lu_solve(lu, F, check_finite=False)
         if not np.all(np.isfinite(step)):
             raise NearFoldError("Newton step failed: singular Jacobian")
-        if res >= 0.5 * prev_res and res > 1e3 * tol:
+        if res >= 0.5 * prev_res and res > 1e3 * _NEWTON_TOL:
             raise NearFoldError(f"Newton stagnated at residual {res:.3e}; "
                                 "the state is too close to the fold")
         prev_res = res
         u -= step
     res = float(np.max(np.abs(u - psi_map(u, kappa, K, Pmu, p))))
-    if res > tol:
+    if res > _NEWTON_TOL:
         raise NearFoldError(f"Newton did not converge (residual {res:.3e})")
     return Field(K.grid, u)
 

@@ -21,8 +21,9 @@ from scipy.integrate import IntegrationWarning, quad
 from .discretization import Field, Grid, build_grid, weight_h
 from .exponents import green_norm_pair_ok
 from .kernels import fundamental_E, fundamental_dE, green_G, poisson_P
-from .operators import KernelMatrix, apply_green, linearized_spectrum
-from .solver import monotone_iterate
+from .operators import (KernelMatrix, apply_green, assemble_green,
+                        linearized_spectrum)
+from .solver import monotone_iterate, psi_map
 
 MASS_TOL = 1e-4
 SYMMETRY_TOL = 1e-12
@@ -33,6 +34,10 @@ SHARPNESS_TOL = 0.10
 STRUCTURE_SLACK = 1e-10
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-10)
+_IDENTITY_SAMPLES = 10_000
+# small enough that the next-order correction ~ sqrt(x_N) is < 0.05
+_GINTEST_HEIGHTS = np.geomspace(1e-5, 1e-3, 6)
+_GLAA_FAMILY_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,17 @@ def _semigroup_error(N: int, a: float, b: float, offset: float = 0.0) -> float:
     return abs(lhs - rhs)
 
 
-def verify_kernel_identities(grid: Grid, N: int, samples: int = 10_000,
-                             seed: int = 0) -> CheckReport:
+def verify_kernel_identities(grid: Grid, seed: int = 0) -> CheckReport:
     """Boundary mass, Green symmetry/positivity, the pointwise Green bound,
-    and the kernel stacking identity."""
+    and the kernel stacking identity, in the grid's dimension."""
+    N = grid.dimension
     rng = np.random.default_rng(seed)
     heights = [0.1, 0.5, float(np.median(grid.heights))]
     mass_err = max(_poisson_mass_error(N, t) for t in heights)
     mass_tol = 1e-12 if N == 1 else MASS_TOL
 
-    x = _sample_points(rng, N, samples)
-    y = _sample_points(rng, N, samples)
+    x = _sample_points(rng, N, _IDENTITY_SAMPLES)
+    y = _sample_points(rng, N, _IDENTITY_SAMPLES)
     g_xy = np.asarray(green_G(N, x, y))
     g_yx = np.asarray(green_G(N, y, x))
     scale = np.maximum(np.abs(g_xy), 1e-300)
@@ -132,7 +137,7 @@ def verify_kernel_identities(grid: Grid, N: int, samples: int = 10_000,
                  "all_positive": positive,
                  "pointwise_bound_violations": violations,
                  "stacking_error": semi_err},
-        samples=samples)
+        samples=_IDENTITY_SAMPLES)
 
 
 def _theta_admissible(N: int, s: float, theta: float) -> bool:
@@ -178,8 +183,7 @@ def _green_theta_integral(N: int, s: float, theta: float, t: float) -> float:
     return val ** (1.0 / s)
 
 
-def verify_gintest_scaling(N: int, s: float, theta: float,
-                           heights=None) -> CheckReport:
+def verify_gintest_scaling(N: int, s: float, theta: float) -> CheckReport:
     """Small-height scaling of the weighted Green integral.
 
     Fits log I(x_N) against log x_N over small heights and compares the
@@ -188,10 +192,7 @@ def verify_gintest_scaling(N: int, s: float, theta: float,
     if not _theta_admissible(N, s, theta):
         raise ValueError(f"(s, theta)=({s}, {theta}) outside the admissible "
                          f"window (-1 - 1/s, N - 1 - N/s) for N={N}")
-    if heights is None:
-        # small enough that the next-order correction ~ sqrt(x_N) is < 0.05
-        heights = np.geomspace(1e-5, 1e-3, 6)
-    heights = np.asarray(heights, dtype=float)
+    heights = _GINTEST_HEIGHTS
     vals = np.array([_green_theta_integral(N, s, theta, t) for t in heights])
     slope = float(np.polyfit(np.log(heights), np.log(vals), 1)[0])
     predicted = 2.0 + theta - N * (1.0 - 1.0 / s)
@@ -263,7 +264,7 @@ def _sharpness_fit_error(sigma: float) -> float:
 
 
 def verify_glaa(N: int, q: float, alpha: float, r: float, beta: float,
-                family_size: int = 6, seed: int = 0) -> CheckReport:
+                seed: int = 0) -> CheckReport:
     """Boundedness and near-sharpness of the Green operator between
     weighted norms.
 
@@ -277,9 +278,8 @@ def verify_glaa(N: int, q: float, alpha: float, r: float, beta: float,
         raise ValueError(f"exponents (q={q}, alpha={alpha}, r={r}, beta={beta}) "
                          f"violate the mapping conditions: {violated}")
     rng = np.random.default_rng(seed)
-    fns = _glaa_family(rng, N, q, alpha, family_size)
+    fns = _glaa_family(rng, N, q, alpha, _GLAA_FAMILY_SIZE)
 
-    from .operators import assemble_green
     coarse = _glaa_grids(N, 1)
     fine = _glaa_grids(N, 2)
     ratio_coarse = _norm_ratio_max(coarse, assemble_green(coarse),
@@ -308,14 +308,14 @@ def verify_solution_structure(kappas, K: KernelMatrix, Pmu: Field,
                               p: float) -> CheckReport:
     """Monotone structure of the minimal branch across several kappa.
 
-    For kappa < kappa': iterate domination U_j <= (kappa/kappa') U'_j at
-    matching j, strict ordering of the limits, u >= kappa * Pmu, and a
-    stability margin above 1 at every kappa.
+    For kappa < kappa': iterate domination U_j <= (kappa/kappa') U'_j over
+    the first ten iterates from U_0 = Pmu, strict ordering of the limits,
+    u >= kappa * Pmu, and a stability margin above 1 at every kappa.
     """
     kappas = sorted(float(k) for k in kappas)
     results = {}
     for k in kappas:
-        res = monotone_iterate(k, K, Pmu, p, record_iterates=10)
+        res = monotone_iterate(k, K, Pmu, p)
         if not res.converged:
             return CheckReport(name="solution_structure", passed=False,
                                statistic=np.inf,
@@ -324,8 +324,12 @@ def verify_solution_structure(kappas, K: KernelMatrix, Pmu: Field,
 
     worst = 0.0
     lambdas = {}
+    iterates = {}
     for k in kappas:
         res = results[k]
+        iterates[k] = [Pmu.values]
+        while len(iterates[k]) < min(10, res.iterations):
+            iterates[k].append(psi_map(iterates[k][-1], k, K, Pmu, p))
         worst = max(worst, float(np.max(k * Pmu.values - res.solution.values)))
         lambdas[k] = linearized_spectrum(K, res.solution, p).lambda_
 
@@ -334,7 +338,7 @@ def verify_solution_structure(kappas, K: KernelMatrix, Pmu: Field,
         a, b = results[lo], results[hi]
         # both runs share the kappa-independent start U_0 = Pmu, so the
         # scaled domination only kicks in once that common seed is forgotten
-        for u_lo, u_hi in zip(a.recorded[2:], b.recorded[2:]):
+        for u_lo, u_hi in zip(iterates[lo][2:], iterates[hi][2:]):
             worst = max(worst, float(np.max(u_lo - (lo / hi) * u_hi)))
         strict &= bool(np.all(a.solution.values < b.solution.values))
 

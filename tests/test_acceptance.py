@@ -117,7 +117,8 @@ def test_kernel_identities_all_dimensions(grid_acc):
     with reported("kernel identities hold in dimensions 1, 2, 3"):
         for N in (1, 2, 3):
             grid = grid_acc if N == 1 else build_grid(N, 10.0, 10.0, 12, 16)
-            rep = verify_kernel_identities(grid, N, samples=10_000)
+            rep = verify_kernel_identities(grid)
+            assert rep.name == f"kernel_identities_N{N}"
             assert rep.passed, rep.details
             assert rep.details["pointwise_bound_violations"] == 0
 

@@ -79,6 +79,21 @@ class TestConfigLoading:
         assert run_command(["solve", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, code", [
+        # a grid that N = 2 accepts, so only the type of N is wrong
+        ({"problem": {"N": 2.0},
+          "grid": dict(FAST_GRID, nodes_lateral=4, nodes_height=6)}, 2),
+        ({"grid": dict(FAST_GRID, nodes_height=400.7)}, 2),
+        ({"solver": {"max_iter": 1e5}}, 2),
+        ({"continuation": {"max_points": 2.5}}, 2),
+        ({"problem": {"p": 3, "kappa": 1}}, 0)],
+        ids=["N", "nodes_height", "max_iter", "max_points", "int-for-number"])
+    def test_integer_keys_take_integers(self, tmp_path, capsys, overrides,
+                                        code):
+        path = write_config(tmp_path, **overrides)
+        assert run_command(["solve", "--config", path]) == code
+        assert ("config error" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_default_grid_fits_every_dimension(self, tmp_path, N):
         path = tmp_path / "config.json"

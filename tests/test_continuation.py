@@ -96,6 +96,23 @@ class TestDetectFold:
         assert kappa_fold == top.kappa
         assert np.array_equal(pt.field.values, top.field.values)
 
+    def test_singular_tangent_returns_the_max_kappa_point(self, branch,
+                                                          monkeypatch):
+        calls = []
+        tangent = _Stepper.tangent
+
+        def singular_after_first(self, *args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise FloatingPointError("singular Jacobian")
+            return tangent(self, *args)
+        monkeypatch.setattr(_Stepper, "tangent", singular_after_first)
+        kappa_fold, pt = detect_fold(branch)
+        top = branch.points[int(np.argmax(branch.kappas))]
+        assert len(calls) == 2
+        assert kappa_fold == top.kappa
+        assert np.array_equal(pt.field.values, top.field.values)
+
     def test_requires_a_fold(self, K_line, Pmu_line):
         short = trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.05,
                              max_points=4)

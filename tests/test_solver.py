@@ -50,16 +50,28 @@ class TestMonotoneIterate:
         assert res.status == "diverged"
 
     def test_iterates_nondecreasing(self, K_line, Pmu_line):
-        res = monotone_iterate(1.0, K_line, Pmu_line, 3.0, record_iterates=8)
-        assert len(res.recorded) == 8
-        for lo, hi in zip(res.recorded[1:], res.recorded[2:]):
+        iterates = [Pmu_line.values]
+        for _ in range(7):
+            iterates.append(psi_map(iterates[-1], 1.0, K_line, Pmu_line, 3.0))
+        for lo, hi in zip(iterates[1:], iterates[2:]):
             assert np.all(hi >= lo - 1e-14)
 
-    def test_zero_start_reaches_same_limit(self, K_line, Pmu_line):
+    def test_zero_start_reaches_same_limit(self, grid_line, K_line, Pmu_line):
         a = monotone_iterate(1.0, K_line, Pmu_line, 3.0)
-        b = monotone_iterate(1.0, K_line, Pmu_line, 3.0, start_zero=True)
-        assert b.converged
-        assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-7
+        u = np.zeros(grid_line.n_nodes)
+        for _ in range(200):
+            u = psi_map(u, 1.0, K_line, Pmu_line, 3.0)
+        assert np.max(np.abs(a.solution.values - u)) <= 1e-7
+
+    def test_iteration_limit_keeps_the_last_iterate(self, K_line, Pmu_line):
+        res = monotone_iterate(1.0, K_line, Pmu_line, 3.0, max_iter=3)
+        u = Pmu_line.values
+        for _ in range(3):
+            u = psi_map(u, 1.0, K_line, Pmu_line, 3.0)
+        assert res.status == "iteration_limit"
+        assert res.iterations == 3 and len(res.increments) == 3
+        np.testing.assert_array_equal(res.solution.values, u)
+        assert res.residual_sup == res.increments[-1]
 
     def test_small_kappa_contracts(self, grid_line, K_line, Pmu_line):
         # far below the threshold the map is a contraction on a small ball
@@ -87,7 +99,7 @@ class TestMonotoneIterate:
 class TestNewtonRefine:
     def test_polishes_iteration_output(self, K_line, Pmu_line):
         seed = monotone_iterate(1.0, K_line, Pmu_line, 3.0, tol=1e-6).solution
-        u = newton_refine(seed, 1.0, K_line, Pmu_line, 3.0, tol=1e-10)
+        u = newton_refine(seed, 1.0, K_line, Pmu_line, 3.0)
         res = np.max(np.abs(u.values - psi_map(u.values, 1.0, K_line,
                                                Pmu_line, 3.0)))
         assert res <= 1e-10

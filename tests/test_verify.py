@@ -9,20 +9,20 @@ from scalarfield.verify import (verify_gintest_scaling, verify_glaa,
 
 class TestKernelIdentities:
     def test_half_line(self, grid_line):
-        rep = verify_kernel_identities(grid_line, 1, samples=2000)
+        rep = verify_kernel_identities(grid_line)
         assert rep.passed
         assert rep.details["pointwise_bound_violations"] == 0
         assert rep.details["poisson_mass_error"] <= 1e-12
 
     def test_plane(self):
         g = build_grid(2, 8.0, 8.0, 8, 12)
-        rep = verify_kernel_identities(g, 2, samples=2000)
+        rep = verify_kernel_identities(g)
         assert rep.passed
         assert rep.details["symmetry_relative_error"] <= 1e-12
 
     def test_deterministic_for_fixed_seed(self, grid_line):
-        a = verify_kernel_identities(grid_line, 1, samples=500, seed=4)
-        b = verify_kernel_identities(grid_line, 1, samples=500, seed=4)
+        a = verify_kernel_identities(grid_line, seed=4)
+        b = verify_kernel_identities(grid_line, seed=4)
         assert a == b
 
 
@@ -51,8 +51,8 @@ class TestGlaa:
             verify_glaa(1, 4.0, 0.0, 2.0, 0.0)   # r < q
 
     def test_deterministic_for_fixed_seed(self):
-        a = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, family_size=2, seed=9)
-        b = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, family_size=2, seed=9)
+        a = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, seed=9)
+        b = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, seed=9)
         assert a == b
 
 
