@@ -35,8 +35,6 @@ STRUCTURE_SLACK = 1e-10
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-10)
 _IDENTITY_SAMPLES = 10_000
-# small enough that the next-order correction ~ sqrt(x_N) is < 0.05
-_GINTEST_HEIGHTS = np.geomspace(1e-5, 1e-3, 6)
 _GLAA_FAMILY_SIZE = 6
 
 
@@ -192,7 +190,8 @@ def verify_gintest_scaling(N: int, s: float, theta: float) -> CheckReport:
     if not _theta_admissible(N, s, theta):
         raise ValueError(f"(s, theta)=({s}, {theta}) outside the admissible "
                          f"window (-1 - 1/s, N - 1 - N/s) for N={N}")
-    heights = _GINTEST_HEIGHTS
+    # small enough that the next-order correction ~ sqrt(x_N) is < 0.05
+    heights = np.geomspace(1e-5, 1e-3, 6)
     vals = np.array([_green_theta_integral(N, s, theta, t) for t in heights])
     slope = float(np.polyfit(np.log(heights), np.log(vals), 1)[0])
     predicted = 2.0 + theta - N * (1.0 - 1.0 / s)
