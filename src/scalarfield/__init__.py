@@ -14,10 +14,10 @@ from .exponents import (AdmissiblePair, CriticalExponents, DSetParams,
                         stabilization_index)
 from .kernels import (HalfSpacePoint, bessel_k0, bessel_k1, fundamental_E,
                       fundamental_dE, green_G, poisson_P)
-from .operators import (EigenResult, IterationLimitError, KernelMatrix,
-                        apply_green, assemble_green, jacobian,
-                        linearized_spectrum, poisson_trace,
-                        smallest_singular_value)
+from .operators import (DegenerateLinearizationError, EigenResult,
+                        IterationLimitError, KernelMatrix, apply_green,
+                        assemble_green, jacobian, linearized_spectrum,
+                        poisson_trace, smallest_singular_value)
 from .solver import (BracketError, KappaStarEstimate, NearFoldError,
                      SolveResult, estimate_kappa_star, monotone_iterate,
                      newton_refine, psi_map)

@@ -7,7 +7,8 @@ timestamps, so identical (config, seed) reruns are byte-identical.
 Exit codes, all mapped in `run_command`: 0 success; 1 a computational
 outcome ("<command>: <message>": no minimal solution, a bracket that does
 not straddle kappa*, a singular Jacobian, ...), failed checks or IO trouble;
-2 a config error, including a wrongly typed value or a too-large grid.
+2 a config error, including a wrongly typed value or a grid whose dense
+matrices would not fit the memory budget.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .continuation import (NoMinimalSolutionError, detect_fold,
                            trace_branch)
 from .discretization import build_grid
 from .exponents import check_admissible, critical_exponents
-from .operators import (IterationLimitError, assemble_green,
+from .operators import (DegenerateLinearizationError, IterationLimitError,
+                        assemble_green, check_matrix_budget,
                         linearized_spectrum, poisson_trace)
 from .solver import (BracketError, NearFoldError, estimate_kappa_star,
                      monotone_iterate)
@@ -205,8 +207,11 @@ def _grid(cfg):
                       gc["nodes_lateral"], gc["nodes_height"], gc["grading"])
 
 
-def _build_problem(cfg):
+def _build_problem(cfg, copies):
+    """Grid, Green matrix and Pmu, once the `copies` dense n x n matrices
+    the command holds at once fit the memory budget."""
     grid = _grid(cfg)
+    check_matrix_budget(grid.n_nodes, copies)
     K = assemble_green(grid)
     Pmu = poisson_trace(grid, cfg["problem"]["mu_spec"])
     return grid, K, Pmu
@@ -239,7 +244,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_solve(cfg) -> int:
-    grid, K, Pmu = _build_problem(cfg)
+    grid, K, Pmu = _build_problem(cfg, copies=1)
     prob = cfg["problem"]
     result = _minimal_solution(cfg, K, Pmu)
     out_dir = _output_dir(cfg)
@@ -259,7 +264,7 @@ def _cmd_solve(cfg) -> int:
 
 
 def _cmd_kappa_star(cfg) -> int:
-    _, K, Pmu = _build_problem(cfg)
+    _, K, Pmu = _build_problem(cfg, copies=1)
     prob, solv = cfg["problem"], cfg["solver"]
     est = estimate_kappa_star(K, Pmu, prob["p"],
                               bracket=tuple(solv["bracket"]),
@@ -275,7 +280,8 @@ def _cmd_kappa_star(cfg) -> int:
 
 
 def _cmd_eigen(cfg) -> int:
-    grid, K, Pmu = _build_problem(cfg)
+    # K and linearized_spectrum's weighted copy M
+    grid, K, Pmu = _build_problem(cfg, copies=2)
     prob, solv = cfg["problem"], cfg["solver"]
     result = _minimal_solution(cfg, K, Pmu)
     if not result.converged:
@@ -293,7 +299,8 @@ def _cmd_eigen(cfg) -> int:
 
 
 def _cmd_branch(cfg) -> int:
-    _, K, Pmu = _build_problem(cfg)
+    # K, the previous point's LU and the new Jacobian while a tangent forms
+    _, K, Pmu = _build_problem(cfg, copies=3)
     prob, cont, exps = cfg["problem"], cfg["continuation"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
                           step=cont["step"], max_points=cont["max_points"],
@@ -339,7 +346,8 @@ def _cmd_verify(cfg, suite: str) -> int:
         q, alpha = cfg["exponents"]["q"], cfg["exponents"]["alpha"]
         reports.append(verify_glaa(N, q, alpha, q, alpha, seed=seed))
     if suite in ("structure", "all"):
-        _, K, Pmu = _build_problem(cfg)
+        # K and linearized_spectrum's weighted copy M
+        _, K, Pmu = _build_problem(cfg, copies=2)
         reports.append(verify_solution_structure([0.2, 0.4, 0.8],
                                                  K, Pmu, prob["p"]))
     payload = [dataclasses.asdict(r) for r in reports]
@@ -402,9 +410,11 @@ def run_command(argv=None) -> int:
         if args.command == "branch":
             return _cmd_branch(cfg)
         return _cmd_verify(cfg, args.suite)
-    # first, because BracketError and NoMinimalSolutionError are ValueErrors
+    # first, because BracketError, NoMinimalSolutionError and
+    # DegenerateLinearizationError are ValueErrors
     except (BracketError, NoMinimalSolutionError, NearFoldError,
-            IterationLimitError, FloatingPointError) as exc:
+            DegenerateLinearizationError, IterationLimitError,
+            FloatingPointError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError) as exc:

@@ -64,7 +64,7 @@ class _Stepper:
         """
         J = jacobian(self.K, Field(self.K.grid, u), self.p)
         with np.errstate(all="ignore"):
-            lu = lu_factor(J, check_finite=False)
+            lu = lu_factor(J, overwrite_a=True, check_finite=False)
             b = lu_solve(lu, self.Pmu.values, check_finite=False)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")

@@ -22,7 +22,12 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .discretization import Field, Grid
 from .kernels import fundamental_E, poisson_P
 
-MAX_MATRIX_NODES = 20_000
+MAX_MATRIX_BYTES = 4 * 2 ** 30
+
+# kernel evaluations per assembly block; bounds every assembly temporary
+_BLOCK_ENTRIES = 500_000
+# columns per block when jacobian writes its Fortran-ordered J
+_JACOBIAN_COLUMNS = 64
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
@@ -37,6 +42,10 @@ class IterationLimitError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+class DegenerateLinearizationError(ValueError):
+    """The linearized operator at a state has no dominant eigenpair to find."""
 
 
 @dataclass(frozen=True)
@@ -88,18 +97,46 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
     return vals @ w_phi
 
 
+def check_matrix_budget(n: int, copies: int) -> None:
+    """Refuse a grid whose `copies` dense n x n float64 matrices, held at
+    once, would exceed MAX_MATRIX_BYTES."""
+    need = copies * 8 * n * n
+    if need > MAX_MATRIX_BYTES:
+        raise ValueError(f"{copies} dense {n} x {n} matrices need {need:,} "
+                         f"bytes; the memory budget is {MAX_MATRIX_BYTES:,} "
+                         "bytes")
+
+
+def _cell_average(N: int, rho, z, cell_sizes):
+    """Kernel average over four sub-points of each cell: the singular
+    diagonal, where the midpoint rule would evaluate at coincident points."""
+    if N == 1:
+        offsets = np.array([-0.375, -0.125, 0.125, 0.375])
+        return _avg_green(1, None, z[:, None], None,
+                          z[:, None] + cell_sizes[:, :1] * offsets).mean(axis=1)
+    sr = np.array([-0.25, -0.25, 0.25, 0.25])
+    sz = np.array([-0.25, 0.25, -0.25, 0.25])
+    return _avg_green(N, rho[:, None], z[:, None],
+                      rho[:, None] + cell_sizes[:, :1] * sr,
+                      z[:, None] + cell_sizes[:, 1:2] * sz,
+                      n_angles=_GAUSS_ANGLES_DIAGONAL).mean(axis=1)
+
+
 def assemble_green(grid: Grid) -> KernelMatrix:
-    """Build the dense Green matrix for the grid's own dimension."""
+    """Build the dense Green matrix for the grid's own dimension.
+
+    Rows are filled in blocks of about _BLOCK_ENTRIES kernel evaluations
+    (times the angle count for N = 3), diagonal included, so no temporary
+    grows with n x n; the block size does not change a bit of the result.
+    """
     n = grid.n_nodes
-    if n > MAX_MATRIX_NODES:
-        raise ValueError(f"refusing to assemble a dense {n} x {n} kernel matrix; "
-                         f"the cap is {MAX_MATRIX_NODES} nodes")
+    check_matrix_budget(n, copies=1)
     N = grid.dimension
     z = grid.heights
     rho = np.zeros(n) if N == 1 else grid.radii
 
     entries = np.empty((n, n))
-    block = max(1, int(2e7 // (n * (_GAUSS_ANGLES if N == 3 else 1))))
+    block = max(1, _BLOCK_ENTRIES // (n * (_GAUSS_ANGLES if N == 3 else 1)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         idx = np.arange(lo, hi)
@@ -108,23 +145,8 @@ def assemble_green(grid: Grid) -> KernelMatrix:
         z_cols[np.arange(hi - lo), idx] += 1.0
         entries[lo:hi] = _avg_green(N, rho[idx, None], z[idx, None],
                                     rho[None, :], z_cols)
-
-    # diagonal: average the kernel over four sub-points of the cell
-    if N == 1:
-        dz = grid.cell_sizes[:, 0]
-        offsets = np.array([-0.375, -0.125, 0.125, 0.375])
-        diag = _avg_green(1, None, z[:, None], None,
-                          z[:, None] + dz[:, None] * offsets).mean(axis=1)
-    else:
-        dr = grid.cell_sizes[:, 0]
-        dz = grid.cell_sizes[:, 1]
-        sr = np.array([-0.25, -0.25, 0.25, 0.25])
-        sz = np.array([-0.25, 0.25, -0.25, 0.25])
-        diag = _avg_green(N, rho[:, None], z[:, None],
-                          rho[:, None] + dr[:, None] * sr,
-                          z[:, None] + dz[:, None] * sz,
-                          n_angles=_GAUSS_ANGLES_DIAGONAL).mean(axis=1)
-    entries[np.arange(n), np.arange(n)] = diag
+        entries[idx, idx] = _cell_average(N, rho[lo:hi], z[lo:hi],
+                                          grid.cell_sizes[lo:hi])
 
     entries *= grid.quad_weights[None, :]
     return KernelMatrix(grid=grid, entries=entries)
@@ -224,7 +246,8 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
     """Power iteration for the dominant eigenpair of h -> G[p u^{p-1} h]."""
     weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
     if not np.any(weights > 0.0):
-        raise ValueError("linearization weight p u^(p-1) vanishes identically")
+        raise DegenerateLinearizationError(
+            "linearization weight p u^(p-1) vanishes identically")
     M = K.entries * weights[None, :]
     psi = np.ones(K.grid.n_nodes)
     rho = 0.0
@@ -233,7 +256,8 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
         v = M @ psi
         rho = float(v[np.argmax(np.abs(v))])
         if rho == 0.0:
-            raise ValueError("linearized operator annihilated the iterate")
+            raise DegenerateLinearizationError(
+                "linearized operator annihilated the iterate")
         residual = float(np.max(np.abs(v - rho * psi)))
         if residual <= tol * np.max(np.abs(psi)):
             psi = v / rho
@@ -247,9 +271,19 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
 
 
 def jacobian(K: KernelMatrix, u: Field, p: float) -> np.ndarray:
-    """Jacobian I - G diag(p u^{p-1}) of the fixed-point residual at u."""
-    weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
-    J = -K.entries * weights[None, :]
+    """Jacobian I - G diag(p u^{p-1}) of the fixed-point residual at u.
+
+    J is Fortran-ordered, so lu_factor(J, overwrite_a=True) factorizes it in
+    place instead of copying it first.
+    """
+    neg_weights = -p * np.maximum(u.values, 0.0) ** (p - 1.0)
+    n = K.grid.n_nodes
+    J = np.empty((n, n), order="F")
+    # column blocks keep both the C-ordered reads and the F-ordered writes
+    # cache-friendly; one strided pass over the whole matrix is slower
+    for lo in range(0, n, _JACOBIAN_COLUMNS):
+        cols = slice(lo, lo + _JACOBIAN_COLUMNS)
+        np.multiply(K.entries[:, cols], neg_weights[cols], out=J[:, cols])
     J[np.diag_indices_from(J)] += 1.0
     return J
 

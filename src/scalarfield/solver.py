@@ -100,7 +100,7 @@ def newton_refine(u0: Field, kappa: float, K: KernelMatrix, Pmu: Field,
             return Field(K.grid, u)
         J = jacobian(K, Field(K.grid, u), p)
         with np.errstate(all="ignore"):
-            lu = lu_factor(J, check_finite=False)
+            lu = lu_factor(J, overwrite_a=True, check_finite=False)
             step = lu_solve(lu, F, check_finite=False)
         if not np.all(np.isfinite(step)):
             raise NearFoldError("Newton step failed: singular Jacobian")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,16 @@ def soliton(heights, kappa, p=3.0):
     assert p == 3.0
     a = np.arccosh(np.sqrt(2.0) / kappa)
     return np.sqrt(2.0) / np.cosh(heights + a)
+
+
+def peak_allocation(fn, *args, **kwargs):
+    """(fn's result, the most bytes it held at once beyond what it found),
+    counted by tracemalloc, which sees every NumPy buffer."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base

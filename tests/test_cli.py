@@ -6,12 +6,14 @@ import sys
 import pytest
 
 import scalarfield
-from scalarfield import cli
+from scalarfield import cli, operators
 from scalarfield.cli import (BRANCH_CSV_HEADER, OUTPUT_DIR_ENV, ConfigError,
                              load_config, run_command)
-from scalarfield.operators import IterationLimitError
+from scalarfield.operators import IterationLimitError, assemble_green
 from scalarfield.solver import KappaStarEstimate, NearFoldError
 from scalarfield.verify import CheckReport
+
+from conftest import peak_allocation
 
 FAST_GRID = {"R": 20.0, "H": 20.0, "nodes_lateral": 1,
              "nodes_height": 400, "grading": 2.0}
@@ -200,20 +202,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, overrides, patch, code, message", [
         (["frobnicate"], None, None, 2, ""),
         (["exponents", "--N", "0", "--p", "3"], None, None, 2, "config error"),
-        (["solve"], {"grid": dict(FAST_GRID, nodes_height=20001)}, None, 2,
-         "cap"),
+        (["solve"], {"grid": dict(FAST_GRID, nodes_height=23_171)}, None, 2,
+         "memory budget"),
         (["solve"], {"problem": {"mu_spec": {
             "type": "radial_density", "radii": [0.0, 1.0],
             "values": [1.0, 0.0]}}}, None, 2, "config error"),
         (["eigen"], {"problem": {"kappa": 2.0}}, None, 1,
          "eigen: no minimal solution"),
+        (["eigen"], {"problem": {"N": 1, "p": 400.0, "kappa": 0.01},
+                     "grid": {"nodes_height": 300}}, None, 1,
+         "eigen: linearization weight p u^(p-1) vanishes identically"),
         (["kappa-star"], {"solver": {"bracket": [1.6, 2.5]}}, None, 1,
          "kappa-star: lower bracket end"),
         (["solve"], {"output_dir": "taken"}, None, 1, "io error"),
         (["verify", "--suite", "kernels"], {},
          ("verify_kernel_identities", _failing_check), 1, ""),
-    ], ids=["unknown-command", "exponents-N0", "node-cap", "radial-N1",
-            "eigen-above-threshold", "bracket-below-threshold",
+    ], ids=["unknown-command", "exponents-N0", "memory-budget", "radial-N1",
+            "eigen-above-threshold", "eigen-weight-vanishes",
+            "bracket-below-threshold",
             "output-dir-is-file", "verify-check-fails"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
@@ -242,6 +248,44 @@ class TestExitCodes:
         assert run_command(["branch", "--config", path]) == 1
         err = capsys.readouterr().err
         assert str(error) in err and "Traceback" not in err
+
+    def test_budget_counts_the_copies_each_command_holds(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # 2.5 copies of a 300-node matrix: room for solve and eigen only
+        monkeypatch.setattr(operators, "MAX_MATRIX_BYTES",
+                            int(2.5 * 8 * 300 ** 2))
+        assembled = []
+
+        def spy(grid):
+            assembled.append(grid.n_nodes)
+            return assemble_green(grid)
+        monkeypatch.setattr(cli, "assemble_green", spy)
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=300))
+        assert run_command(["solve", "--config", path]) == 0
+        assert run_command(["eigen", "--config", path]) == 0
+        assert assembled == [300, 300]
+        os.remove(tmp_path / "out" / "summary.json")
+        assert run_command(["branch", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+        assert assembled == [300, 300]
+
+    @pytest.mark.parametrize("argv, copies", [
+        (["solve"], 1), (["kappa-star"], 1), (["eigen"], 2),
+        (["verify", "--suite", "structure"], 2), (["branch"], 3)])
+    def test_commands_hold_the_copies_the_budget_counts(self, tmp_path,
+                                                        monkeypatch, argv,
+                                                        copies):
+        # small assembly blocks, so the dense matrices dominate the peak
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 5_000)
+        n = 600
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
+                            continuation={"start_kappa": 0.3, "step": 0.1,
+                                          "max_points": 6})
+        code, extra = peak_allocation(run_command,
+                                      [argv[0], "--config", path] + argv[1:])
+        assert code == 0
+        assert copies <= extra / (8 * n * n) <= copies + 0.25
 
     def test_branch_above_threshold_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, continuation={"start_kappa": 2.5})

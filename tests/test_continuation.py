@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from scalarfield import continuation
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
+from scalarfield.discretization import Field
 from scalarfield.solver import psi_map
 
-from conftest import soliton
+from conftest import peak_allocation, soliton
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,35 @@ class TestTraceBranch:
             trace_branch(0.2, K_line, Pmu_line, 3.0, max_points=1)
         with pytest.raises(ValueError):
             trace_branch(2.5, K_line, Pmu_line, 3.0)
+
+
+class TestTangentMemory:
+    def test_tangent_allocates_one_matrix(self, grid_line, K_line, Pmu_line):
+        stepper = _Stepper(K_line, Pmu_line, 3.0)
+        u = soliton(grid_line.heights, 1.0)
+        previous = stepper.tangent(u, None)     # its LU stays alive
+        _, extra = peak_allocation(stepper.tangent, u,
+                                   (previous[1], previous[2]))
+        assert extra <= 1.1 * K_line.entries.nbytes
+
+    def test_lu_overwrites_the_fortran_ordered_jacobian(self, grid_line,
+                                                        K_line, Pmu_line,
+                                                        monkeypatch):
+        built, jacobian = [], continuation.jacobian
+
+        def keep(*args):
+            built.append(jacobian(*args))
+            return built[-1]
+        monkeypatch.setattr(continuation, "jacobian", keep)
+        u = soliton(grid_line.heights, 1.0)
+        lu, _, _ = _Stepper(K_line, Pmu_line, 3.0).tangent(u, None)
+        assert built[0].flags.f_contiguous
+        assert np.shares_memory(lu[0], built[0])
+        # the same factors as a copying LU of a C-ordered Jacobian
+        J = np.ascontiguousarray(jacobian(K_line, Field(grid_line, u), 3.0))
+        copied = lu_factor(J, check_finite=False)
+        assert lu[0].tobytes("F") == copied[0].tobytes("F")
+        assert np.array_equal(lu[1], copied[1])
 
 
 class TestDetectFold:

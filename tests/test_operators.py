@@ -5,10 +5,12 @@ from scalarfield import operators
 from scalarfield.discretization import Field, build_grid
 from scalarfield.kernels import green_G, poisson_P
 from scalarfield.operators import (IterationLimitError, apply_green,
-                                   assemble_green, jacobian,
-                                   linearized_spectrum, poisson_trace,
-                                   smallest_singular_value)
+                                   assemble_green, check_matrix_budget,
+                                   jacobian, linearized_spectrum,
+                                   poisson_trace, smallest_singular_value)
 from scalarfield.solver import monotone_iterate
+
+from conftest import peak_allocation
 
 
 class TestAssembly:
@@ -39,9 +41,37 @@ class TestAssembly:
         assert np.all(K_line.entries.sum(axis=1) <= 1.0)
 
     def test_memory_guard(self):
-        g = build_grid(1, 20.0, 20.0, 1, 20_001)
-        with pytest.raises(ValueError, match="cap"):
+        # one 23 171-node matrix is just over 4 GiB; it is never allocated
+        g = build_grid(1, 20.0, 20.0, 1, 23_171)
+        with pytest.raises(ValueError, match="memory budget"):
             assemble_green(g)
+
+    def test_budget_counts_copies_times_eight_n_squared(self):
+        assert operators.MAX_MATRIX_BYTES == 4 * 2 ** 30
+        for n, copies in ((23_170, 1), (16_384, 2), (13_377, 3)):
+            check_matrix_budget(n, copies)
+        for n, copies in ((23_171, 1), (16_385, 2), (13_378, 3)):
+            with pytest.raises(ValueError, match="memory budget"):
+                check_matrix_budget(n, copies)
+
+    @pytest.mark.parametrize("N, shape, block_entries", [
+        (1, (1, 200), 7 * 200),          # 7-row blocks: 28 full, one of 4
+        (2, (6, 10), 11 * 60),           # 11-row blocks: 5 full, one of 5
+        (3, (6, 8), 5 * 48 * 32)])       # 5-row blocks: 9 full, one of 3
+    def test_block_size_does_not_change_the_matrix(self, monkeypatch, N,
+                                                   shape, block_entries):
+        g = build_grid(N, 6.0, 6.0, *shape)
+        whole = assemble_green(g).entries.tobytes()
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
+        assert assemble_green(g).entries.tobytes() == whole
+
+    @pytest.mark.parametrize("N, shape", [(1, (1, 2000)), (2, (30, 40)),
+                                          (3, (24, 36))])
+    def test_assembly_temporaries_are_bounded(self, N, shape):
+        g = build_grid(N, 20.0, 20.0, *shape)
+        K, extra = peak_allocation(assemble_green, g)
+        temporaries = extra - K.entries.nbytes
+        assert temporaries <= 16 * 8 * operators._BLOCK_ENTRIES
 
 
 class TestApply:
