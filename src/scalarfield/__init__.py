@@ -15,9 +15,10 @@ from .exponents import (AdmissiblePair, CriticalExponents, DSetParams,
 from .kernels import (HalfSpacePoint, bessel_k0, bessel_k1, fundamental_E,
                       fundamental_dE, green_G, poisson_P)
 from .operators import (DegenerateLinearizationError, EigenResult,
-                        IterationLimitError, KernelMatrix, apply_green,
-                        assemble_green, jacobian, linearized_spectrum,
-                        poisson_trace, smallest_singular_value)
+                        HalfLineGreen, IterationLimitError, KernelMatrix,
+                        apply_green, assemble_green, jacobian,
+                        linearized_spectrum, poisson_trace,
+                        smallest_singular_value)
 from .solver import (BracketError, KappaStarEstimate, NearFoldError,
                      SolveResult, estimate_kappa_star, monotone_iterate,
                      newton_refine, psi_map)

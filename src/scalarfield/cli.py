@@ -7,8 +7,8 @@ timestamps, so identical (config, seed) reruns are byte-identical.
 Exit codes, all mapped in `run_command`: 0 success; 1 a computational
 outcome ("<command>: <message>": no minimal solution, a bracket that does
 not straddle kappa*, a singular Jacobian, ...), failed checks or IO trouble;
-2 a config error, including a wrongly typed value or a grid whose dense
-matrices would not fit the memory budget.
+2 a config error, including a wrongly typed value or a grid whose arrays
+would not fit the memory budget.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .continuation import (NoMinimalSolutionError, detect_fold,
 from .discretization import build_grid
 from .exponents import check_admissible, critical_exponents
 from .operators import (DegenerateLinearizationError, IterationLimitError,
-                        assemble_green, check_matrix_budget,
+                        assemble_green, check_memory_budget,
                         linearized_spectrum, poisson_trace)
 from .solver import (BracketError, NearFoldError, estimate_kappa_star,
                      monotone_iterate)
@@ -207,11 +207,15 @@ def _grid(cfg):
                       gc["nodes_lateral"], gc["nodes_height"], gc["grading"])
 
 
-def _build_problem(cfg, copies):
-    """Grid, Green matrix and Pmu, once the `copies` dense n x n matrices
-    the command holds at once fit the memory budget."""
+def _build_problem(cfg, copies, fields=0):
+    """Grid, Green operator and Pmu, once what the command holds at once
+    fits the memory budget: `copies` dense n x n matrices for N >= 2, the
+    operator's vectors and `fields` kept fields for N = 1.  The budget is
+    checked before the grid is built."""
+    N, gc = cfg["problem"]["N"], cfg["grid"]
+    n = gc["nodes_height"] * (1 if N == 1 else gc["nodes_lateral"])
+    check_memory_budget(N, n, copies, fields)
     grid = _grid(cfg)
-    check_matrix_budget(grid.n_nodes, copies)
     K = assemble_green(grid)
     Pmu = poisson_trace(grid, cfg["problem"]["mu_spec"])
     return grid, K, Pmu
@@ -280,8 +284,7 @@ def _cmd_kappa_star(cfg) -> int:
 
 
 def _cmd_eigen(cfg) -> int:
-    # K and linearized_spectrum's weighted copy M
-    grid, K, Pmu = _build_problem(cfg, copies=2)
+    grid, K, Pmu = _build_problem(cfg, copies=1)
     prob, solv = cfg["problem"], cfg["solver"]
     result = _minimal_solution(cfg, K, Pmu)
     if not result.converged:
@@ -299,9 +302,12 @@ def _cmd_eigen(cfg) -> int:
 
 
 def _cmd_branch(cfg) -> int:
-    # K, the previous point's LU and the new Jacobian while a tangent forms
-    _, K, Pmu = _build_problem(cfg, copies=3)
-    prob, cont, exps = cfg["problem"], cfg["continuation"], cfg["exponents"]
+    cont = cfg["continuation"]
+    # K, the previous point's LU and the new Jacobian while a tangent forms;
+    # the branch points and the fold point keep one field each
+    _, K, Pmu = _build_problem(cfg, copies=3,
+                               fields=cont["max_points"] + 1)
+    prob, exps = cfg["problem"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
                           step=cont["step"], max_points=cont["max_points"],
                           norm_q=exps["q"], norm_alpha=exps["alpha"])
@@ -346,8 +352,7 @@ def _cmd_verify(cfg, suite: str) -> int:
         q, alpha = cfg["exponents"]["q"], cfg["exponents"]["alpha"]
         reports.append(verify_glaa(N, q, alpha, q, alpha, seed=seed))
     if suite in ("structure", "all"):
-        # K and linearized_spectrum's weighted copy M
-        _, K, Pmu = _build_problem(cfg, copies=2)
+        _, K, Pmu = _build_problem(cfg, copies=1)
         reports.append(verify_solution_structure([0.2, 0.4, 0.8],
                                                  K, Pmu, prob["p"]))
     payload = [dataclasses.asdict(r) for r in reports]

@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .discretization import Field
-from .operators import KernelMatrix, jacobian, linearized_spectrum
+from .operators import (GreenOperator, jacobian, linearized_spectrum,
+                        lu_factor, lu_solve)
 from .solver import monotone_iterate, newton_refine, psi_map
 
 _STEP_MIN = 1e-5
@@ -46,7 +46,7 @@ class BranchPoint:
 class _Stepper:
     """Continuation kinematics bound to one (K, Pmu, p) problem."""
 
-    def __init__(self, K: KernelMatrix, Pmu: Field, p: float):
+    def __init__(self, K: GreenOperator, Pmu: Field, p: float):
         self.K = K
         self.Pmu = Pmu
         self.p = p
@@ -64,8 +64,8 @@ class _Stepper:
         """
         J = jacobian(self.K, Field(self.K.grid, u), self.p)
         with np.errstate(all="ignore"):
-            lu = lu_factor(J, overwrite_a=True, check_finite=False)
-            b = lu_solve(lu, self.Pmu.values, check_finite=False)
+            lu = lu_factor(J)
+            b = lu_solve(lu, self.Pmu.values)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")
         scale = np.sqrt(self._dot(b, b) + 1.0)
@@ -95,7 +95,7 @@ class _Stepper:
                 except FloatingPointError:
                     return None
             with np.errstate(all="ignore"):
-                a = lu_solve(lu, F, check_finite=False)
+                a = lu_solve(lu, F)
             t = self._dot(du, a) - c
             u = u - a + t * du
             kappa = kappa + t * dk
@@ -126,7 +126,7 @@ def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float, s: float,
                        lambda_=eig.lambda_, arclength=s, fold_flag=fold_flag)
 
 
-def trace_branch(start_kappa: float, K: KernelMatrix, Pmu: Field, p: float,
+def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
                  step: float = 0.05, max_points: int = 200,
                  norm_q: float = 4.0, norm_alpha: float = 0.0) -> Branch:
     """Trace the branch from the minimal solution at start_kappa past the fold.

@@ -1,28 +1,32 @@
 """Discrete integral operators on a half-space grid.
 
-The Green operator is assembled as a dense matrix with the quadrature
-weights folded in, so application is a plain matrix-vector product.  For
-the axisymmetric grids (N = 2, 3) each column represents a mirror pair or
-a full ring of sources, and the matrix entry carries the pair/ring average
-of the kernel.  The singular quadrature diagonal is handled by averaging
-the kernel over sub-points of the cell instead of evaluating at the
-(coincident) midpoint.
+The Green operator carries the quadrature weights, so applying it is one
+`matvec`.  For N = 2, 3 it is a dense matrix: each column represents a
+mirror pair or a full ring of sources, and the entry carries the pair/ring
+average of the kernel.  For N = 1 it is exact and O(n): the sampled kernel
+is semiseparable, and its inverse is tridiagonal in closed form
+(`HalfLineGreen`).  Either way the singular quadrature diagonal averages the
+kernel over sub-points of the cell instead of evaluating it at the
+(coincident) midpoint.  `lu_factor` / `lu_solve` are the package's only
+factorization of the Jacobian `jacobian` returns for either operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import warnings
-
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .discretization import Field, Grid
 from .kernels import fundamental_E, poisson_P
 
 MAX_MATRIX_BYTES = 4 * 2 ** 30
+# length-n float64 vectors a half-line command holds at once besides the
+# fields it keeps: grid, operator and Jacobian factors, iterates, output
+# columns (tracemalloc reads 31-42 per command at 2·10^4 nodes)
+HALF_LINE_VECTORS = 64
 
 # kernel evaluations per assembly block; bounds every assembly temporary
 _BLOCK_ENTRIES = 500_000
@@ -60,6 +64,112 @@ class KernelMatrix:
         if self.entries.shape != (n, n):
             raise ValueError(f"entries shape {self.entries.shape} does not match "
                              f"grid with {n} nodes")
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.entries @ x
+
+    def jacobian(self, weights: np.ndarray) -> np.ndarray:
+        """I - K diag(weights), Fortran-ordered, so lu_factor overwrites it
+        instead of copying it first."""
+        n = self.grid.n_nodes
+        J = np.empty((n, n), order="F")
+        neg_weights = -weights
+        # column blocks keep both the C-ordered reads and the F-ordered writes
+        # cache-friendly; one strided pass over the whole matrix is slower
+        for lo in range(0, n, _JACOBIAN_COLUMNS):
+            cols = slice(lo, lo + _JACOBIAN_COLUMNS)
+            np.multiply(self.entries[:, cols], neg_weights[cols], out=J[:, cols])
+        J[np.diag_indices_from(J)] += 1.0
+        return J
+
+
+def _tridiagonal_factors(lower, diag, upper):
+    """LAPACK gttrf factors of a tridiagonal matrix; overwrites its bands."""
+    if diag.size == 2:
+        # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit row
+        lower, upper = np.append(lower, 0.0), np.append(upper, 0.0)
+        diag = np.append(diag, 1.0)
+    *factors, _ = dgttrf(lower, diag, upper, overwrite_dl=1, overwrite_d=1,
+                         overwrite_du=1)
+    return tuple(factors)
+
+
+def _tridiagonal_solve(factors, b, trans="N"):
+    n = b.size
+    if factors[1].size > n:
+        return dgttrs(*factors, np.append(b, 0.0), trans=trans)[0][:n]
+    return dgttrs(*factors, b, trans=trans)[0]
+
+
+@dataclass(frozen=True)
+class HalfLineGreen:
+    """The N = 1 Green matrix K = (S + diag c) W, applied and factorized in O(n).
+
+    S_ij = sinh(z_min) e^{-z_max} samples the half-line Green kernel and W
+    holds the quadrature weights; c moves the diagonal from S_ii to the
+    sub-cell average.  S is semiseparable, so T = S^{-1} is tridiagonal:
+    T_{i,i+1} = -1/sinh(z_{i+1} - z_i) and
+    T_ii = coth(z_i - z_{i-1}) + coth(z_{i+1} - z_i), with z_0 = 0 and the
+    last coth (of an infinite difference) equal to 1.  Only height
+    differences enter, so nothing overflows at any height.  A product S y is
+    one solve with T's factors.
+    """
+
+    grid: Grid
+    t_diag: np.ndarray
+    t_off: np.ndarray           # T_{i,i+1} = T_{i+1,i}
+    correction: np.ndarray      # c = sub-cell average - S_ii
+    t_factors: tuple            # gttrf factors of T
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        y = self.grid.quad_weights * x
+        return _tridiagonal_solve(self.t_factors, y) + self.correction * y
+
+    def t_times(self, b: np.ndarray) -> np.ndarray:
+        out = self.t_diag * b
+        out[:-1] += self.t_off * b[1:]
+        out[1:] += self.t_off * b[:-1]
+        return out
+
+    def jacobian(self, weights: np.ndarray) -> TridiagonalJacobian:
+        """J = I - K diag(weights) = S A with A = T - M - T diag(c) M,
+        M = diag(w * weights); A is tridiagonal."""
+        m = self.grid.quad_weights * weights
+        scale = 1.0 - self.correction * m       # A = T diag(scale) - M
+        return TridiagonalJacobian(green=self,
+                                   lower=self.t_off * scale[:-1],
+                                   diag=self.t_diag * scale - m,
+                                   upper=self.t_off * scale[1:])
+
+
+@dataclass(frozen=True)
+class TridiagonalJacobian:
+    """The N = 1 Jacobian J = S A, held as A's three bands; lu_factor
+    overwrites them."""
+
+    green: HalfLineGreen
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.size, self.diag.size)
+
+
+@dataclass(frozen=True)
+class _TridiagonalLU:
+    green: HalfLineGreen
+    factors: tuple              # gttrf factors of A
+
+    def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # J^{-1} b = A^{-1} (T b) and J^{-T} b = T (A^{-T} b)
+        if trans:
+            return self.green.t_times(_tridiagonal_solve(self.factors, b, "T"))
+        return _tridiagonal_solve(self.factors, self.green.t_times(b))
+
+
+GreenOperator = KernelMatrix | HalfLineGreen
 
 
 def _gauss_on_0_pi(n: int):
@@ -107,6 +217,26 @@ def check_matrix_budget(n: int, copies: int) -> None:
                          "bytes")
 
 
+def check_memory_budget(dimension: int, n: int, copies: int,
+                        fields: int) -> None:
+    """Refuse an n-node problem whose arrays, held at once, would exceed
+    MAX_MATRIX_BYTES; it needs only the node count, not the grid.
+
+    A dense grid (N = 2, 3) counts `copies` n x n matrices; its vectors are
+    negligible beside them.  A half-line grid holds no matrix: it counts
+    HALF_LINE_VECTORS length-n vectors plus the `fields` a command keeps.
+    """
+    if dimension > 1:
+        check_matrix_budget(n, copies)
+        return
+    vectors = HALF_LINE_VECTORS + fields
+    need = vectors * 8 * n
+    if need > MAX_MATRIX_BYTES:
+        raise ValueError(f"{vectors} vectors of {n:,} nodes need {need:,} "
+                         f"bytes; the memory budget is {MAX_MATRIX_BYTES:,} "
+                         "bytes")
+
+
 def _cell_average(N: int, rho, z, cell_sizes):
     """Kernel average over four sub-points of each cell: the singular
     diagonal, where the midpoint rule would evaluate at coincident points."""
@@ -122,8 +252,33 @@ def _cell_average(N: int, rho, z, cell_sizes):
                       n_angles=_GAUSS_ANGLES_DIAGONAL).mean(axis=1)
 
 
-def assemble_green(grid: Grid) -> KernelMatrix:
-    """Build the dense Green matrix for the grid's own dimension.
+def _half_line_green(grid: Grid) -> HalfLineGreen:
+    z = grid.heights
+    gaps = np.diff(z, prepend=0.0)              # z_i - z_{i-1}, z_0 = 0
+    coth = 1.0 / np.tanh(gaps)
+    t_diag = coth + np.append(coth[1:], 1.0)
+    t_off = -1.0 / np.sinh(gaps[1:])
+    s_diag = -0.5 * np.expm1(-2.0 * z)          # sinh(z) e^{-z}
+    correction = _cell_average(1, None, z, grid.cell_sizes) - s_diag
+    factors = _tridiagonal_factors(t_off.copy(), t_diag.copy(), t_off.copy())
+    return HalfLineGreen(grid=grid, t_diag=t_diag, t_off=t_off,
+                         correction=correction, t_factors=factors)
+
+
+def assemble_green(grid: Grid) -> GreenOperator:
+    """The Green operator of the grid's own dimension.
+
+    N = 1 gets the O(n) `HalfLineGreen`, with no n x n array anywhere.
+    N = 2, 3 get the dense `KernelMatrix`; `_assemble_dense` also builds it
+    for N = 1, as the reference the tests compare `HalfLineGreen` with.
+    """
+    if grid.dimension == 1:
+        return _half_line_green(grid)
+    return _assemble_dense(grid)
+
+
+def _assemble_dense(grid: Grid) -> KernelMatrix:
+    """Dense Green matrix for any dimension.
 
     Rows are filled in blocks of about _BLOCK_ENTRIES kernel evaluations
     (times the angle count for N = 3), diagonal included, so no temporary
@@ -152,11 +307,11 @@ def assemble_green(grid: Grid) -> KernelMatrix:
     return KernelMatrix(grid=grid, entries=entries)
 
 
-def apply_green(K: KernelMatrix, f: Field) -> Field:
+def apply_green(K: GreenOperator, f: Field) -> Field:
     if f.grid.n_nodes != K.grid.n_nodes:
         raise ValueError(f"field on {f.grid.n_nodes}-node grid cannot be applied "
-                         f"to a {K.grid.n_nodes}-node kernel matrix")
-    return Field(K.grid, K.entries @ f.values)
+                         f"to a {K.grid.n_nodes}-node Green operator")
+    return Field(K.grid, K.matvec(f.values))
 
 
 def _radial_profile(mu_spec: dict):
@@ -241,19 +396,19 @@ class EigenResult:
     residual: float
 
 
-def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
+def linearized_spectrum(K: GreenOperator, u: Field, p: float,
                         tol: float = 1e-8) -> EigenResult:
-    """Power iteration for the dominant eigenpair of h -> G[p u^{p-1} h]."""
+    """Power iteration for the dominant eigenpair of h -> G[p u^{p-1} h],
+    one K.matvec per step."""
     weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
     if not np.any(weights > 0.0):
         raise DegenerateLinearizationError(
             "linearization weight p u^(p-1) vanishes identically")
-    M = K.entries * weights[None, :]
     psi = np.ones(K.grid.n_nodes)
     rho = 0.0
     residual = np.inf
     for it in range(1, _SPECTRUM_ITERS + 1):
-        v = M @ psi
+        v = K.matvec(weights * psi)
         rho = float(v[np.argmax(np.abs(v))])
         if rho == 0.0:
             raise DegenerateLinearizationError(
@@ -270,40 +425,55 @@ def linearized_spectrum(K: KernelMatrix, u: Field, p: float,
         f"(residual {residual:.3e})", residual=residual)
 
 
-def jacobian(K: KernelMatrix, u: Field, p: float) -> np.ndarray:
-    """Jacobian I - G diag(p u^{p-1}) of the fixed-point residual at u.
+def jacobian(K: GreenOperator, u: Field, p: float):
+    """Jacobian I - G diag(p u^{p-1}) of the fixed-point residual at u, in
+    the form lu_factor takes.
 
-    J is Fortran-ordered, so lu_factor(J, overwrite_a=True) factorizes it in
-    place instead of copying it first.
+    For a dense K it is the n x n matrix, Fortran-ordered.  For N = 1 it is
+    a `TridiagonalJacobian`: J = S A with A = T - M - T diag(c) M and
+    M = diag(w p u^{p-1}), in the notation of `HalfLineGreen`.
     """
-    neg_weights = -p * np.maximum(u.values, 0.0) ** (p - 1.0)
-    n = K.grid.n_nodes
-    J = np.empty((n, n), order="F")
-    # column blocks keep both the C-ordered reads and the F-ordered writes
-    # cache-friendly; one strided pass over the whole matrix is slower
-    for lo in range(0, n, _JACOBIAN_COLUMNS):
-        cols = slice(lo, lo + _JACOBIAN_COLUMNS)
-        np.multiply(K.entries[:, cols], neg_weights[cols], out=J[:, cols])
-    J[np.diag_indices_from(J)] += 1.0
-    return J
+    return K.jacobian(p * np.maximum(u.values, 0.0) ** (p - 1.0))
 
 
-def smallest_singular_value(J: np.ndarray) -> float:
-    """Smallest singular value of J by inverse power iteration on J^T J.
+def lu_factor(J):
+    """LU factors of a Jacobian from `jacobian`; J is overwritten.
+
+    A dense J is factorized by LAPACK getrf, in place when it is
+    Fortran-ordered; the tridiagonal A of the N = 1 Jacobian by gttrf, in
+    O(n).  A singular J is not reported here: its solves come out with
+    non-finite entries.
+    """
+    if isinstance(J, TridiagonalJacobian):
+        return _TridiagonalLU(J.green, _tridiagonal_factors(J.lower, J.diag,
+                                                            J.upper))
+    lu, piv, _ = dgetrf(J, overwrite_a=1)
+    return lu, piv
+
+
+def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve J x = b (trans=0) or J^T x = b (trans=1) with lu_factor's result."""
+    if isinstance(lu, _TridiagonalLU):
+        return lu.solve(b, trans)
+    return dgetrs(*lu, b, trans=trans)[0]
+
+
+def smallest_singular_value(J) -> float:
+    """Smallest singular value of a Jacobian by inverse power iteration on
+    J^T J; J is factorized in place, as by lu_factor.
 
     Returns 0.0 if J is numerically singular.
     """
     n = J.shape[0]
     if J.shape != (n, n):
         raise ValueError("J must be square")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(J, check_finite=False)
+    with np.errstate(all="ignore"):
+        lu = lu_factor(J)
         x = np.ones(n) / np.sqrt(n)
         sigma = np.inf
         for _ in range(_SVD_ITERS):
-            y = lu_solve(lu, x, trans=1, check_finite=False)
-            v = lu_solve(lu, y, trans=0, check_finite=False)
+            y = lu_solve(lu, x, trans=1)
+            v = lu_solve(lu, y, trans=0)
             norm = np.linalg.norm(v)
             if not np.isfinite(norm) or norm == 0.0:
                 return 0.0

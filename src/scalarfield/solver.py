@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .discretization import Field
-from .operators import KernelMatrix, jacobian
+from .operators import GreenOperator, jacobian, lu_factor, lu_solve
 
 _DIVERGENCE_STREAK = 20
 _NEWTON_TOL = 1e-12
@@ -43,13 +42,13 @@ class SolveResult:
         return self.status == "converged"
 
 
-def psi_map(values: np.ndarray, kappa: float, K: KernelMatrix,
+def psi_map(values: np.ndarray, kappa: float, K: GreenOperator,
             Pmu: Field, p: float) -> np.ndarray:
     """One application of the fixed-point map kappa*Pmu + G[v_+^p]."""
-    return kappa * Pmu.values + K.entries @ np.maximum(values, 0.0) ** p
+    return kappa * Pmu.values + K.matvec(np.maximum(values, 0.0) ** p)
 
 
-def monotone_iterate(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
+def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
                      tol: float = 1e-8, max_iter: int = 100_000,
                      blowup_cap: float = 1e6) -> SolveResult:
     """Iterate the fixed-point map from U_0 = Pmu until convergence or blow-up."""
@@ -88,7 +87,7 @@ def monotone_iterate(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
                        residual_sup=residual, increments=np.array(increments))
 
 
-def newton_refine(u0: Field, kappa: float, K: KernelMatrix, Pmu: Field,
+def newton_refine(u0: Field, kappa: float, K: GreenOperator, Pmu: Field,
                   p: float) -> Field:
     """Newton's method on F(u) = u - kappa*Pmu - G[u_+^p] from the seed u0."""
     u = u0.values.copy()
@@ -100,8 +99,7 @@ def newton_refine(u0: Field, kappa: float, K: KernelMatrix, Pmu: Field,
             return Field(K.grid, u)
         J = jacobian(K, Field(K.grid, u), p)
         with np.errstate(all="ignore"):
-            lu = lu_factor(J, overwrite_a=True, check_finite=False)
-            step = lu_solve(lu, F, check_finite=False)
+            step = lu_solve(lu_factor(J), F)
         if not np.all(np.isfinite(step)):
             raise NearFoldError("Newton step failed: singular Jacobian")
         if res >= 0.5 * prev_res and res > 1e3 * _NEWTON_TOL:
@@ -132,7 +130,7 @@ class KappaStarEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def _classify(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
+def _classify(kappa: float, K: GreenOperator, Pmu: Field, p: float,
               tol: float, max_iter: int, blowup_cap: float) -> str:
     result = monotone_iterate(kappa, K, Pmu, p, tol=tol, max_iter=max_iter,
                               blowup_cap=blowup_cap)
@@ -145,7 +143,7 @@ def _classify(kappa: float, K: KernelMatrix, Pmu: Field, p: float,
     return "converged" if ratio < 1.0 else "diverged"
 
 
-def estimate_kappa_star(K: KernelMatrix, Pmu: Field, p: float,
+def estimate_kappa_star(K: GreenOperator, Pmu: Field, p: float,
                         bracket: tuple[float, float] = (0.05, 3.0),
                         tol: float = 1e-2, solver_tol: float = 1e-8,
                         max_iter: int = 100_000,

@@ -21,7 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .discretization import Field, Grid, build_grid, weight_h
 from .exponents import green_norm_pair_ok
 from .kernels import fundamental_E, fundamental_dE, green_G, poisson_P
-from .operators import (KernelMatrix, apply_green, assemble_green,
+from .operators import (GreenOperator, apply_green, assemble_green,
                         linearized_spectrum)
 from .solver import monotone_iterate, psi_map
 
@@ -231,7 +231,7 @@ def _glaa_family(rng, N: int, q: float, alpha: float, count: int):
     return fns
 
 
-def _norm_ratio_max(grid, K: KernelMatrix, fns, q, alpha, r, beta) -> float:
+def _norm_ratio_max(grid, K: GreenOperator, fns, q, alpha, r, beta) -> float:
     rho = np.zeros(grid.n_nodes) if grid.dimension == 1 else grid.radii
     worst = 0.0
     for fn in fns:
@@ -303,7 +303,7 @@ def verify_glaa(N: int, q: float, alpha: float, r: float, beta: float,
         samples=len(fns))
 
 
-def verify_solution_structure(kappas, K: KernelMatrix, Pmu: Field,
+def verify_solution_structure(kappas, K: GreenOperator, Pmu: Field,
                               p: float) -> CheckReport:
     """Monotone structure of the minimal branch across several kappa.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scalarfield import assemble_green, build_grid, poisson_trace
+from scalarfield.operators import _assemble_dense
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +16,12 @@ def grid_line():
 @pytest.fixture(scope="session")
 def K_line(grid_line):
     return assemble_green(grid_line)
+
+
+@pytest.fixture(scope="session")
+def K_line_dense(grid_line):
+    """The dense N = 1 Green matrix: the reference for K_line."""
+    return _assemble_dense(grid_line)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,10 @@ from conftest import peak_allocation
 
 FAST_GRID = {"R": 20.0, "H": 20.0, "nodes_lateral": 1,
              "nodes_height": 400, "grading": 2.0}
+# a dense N = 2 problem of n = 10 x 30 = 300 nodes
+PLANE = {"problem": {"N": 2, "kappa": 0.5},
+         "grid": {"R": 12.0, "H": 12.0, "nodes_lateral": 10,
+                  "nodes_height": 30, "grading": 2.0}}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -197,13 +201,18 @@ def _failing_check(*args, **kwargs):
     return CheckReport(name="kernel_identities", passed=False, statistic=1.0)
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the grid was built before the budget check")
+
+
 class TestExitCodes:
     # a case with config overrides runs with "--config <file>" appended
     @pytest.mark.parametrize("argv, overrides, patch, code, message", [
         (["frobnicate"], None, None, 2, ""),
         (["exponents", "--N", "0", "--p", "3"], None, None, 2, "config error"),
-        (["solve"], {"grid": dict(FAST_GRID, nodes_height=23_171)}, None, 2,
-         "memory budget"),
+        # 10^9 nodes: refused from the config alone, nothing is allocated
+        (["solve"], {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
+         ("build_grid", _no_grid), 2, "memory budget"),
         (["solve"], {"problem": {"mu_spec": {
             "type": "radial_density", "radii": [0.0, 1.0],
             "values": [1.0, 0.0]}}}, None, 2, "config error"),
@@ -260,7 +269,7 @@ class TestExitCodes:
             assembled.append(grid.n_nodes)
             return assemble_green(grid)
         monkeypatch.setattr(cli, "assemble_green", spy)
-        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=300))
+        path = write_config(tmp_path, **PLANE)
         assert run_command(["solve", "--config", path]) == 0
         assert run_command(["eigen", "--config", path]) == 0
         assert assembled == [300, 300]
@@ -270,22 +279,53 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "summary.json").exists()
         assert assembled == [300, 300]
 
+    def test_half_line_budget_counts_vectors_and_kept_fields(
+            self, tmp_path, monkeypatch, capsys):
+        n = 300
+        vectors = operators.HALF_LINE_VECTORS
+        monkeypatch.setattr(operators, "MAX_MATRIX_BYTES",
+                            (vectors + 10) * 8 * n)
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
+                            continuation={"max_points": 9})
+        assert run_command(["solve", "--config", path]) == 0
+        assert run_command(["branch", "--config", path]) == 0
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
+                            continuation={"max_points": 10})
+        assert run_command(["branch", "--config", path]) == 2
+        assert "memory budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, copies", [
-        (["solve"], 1), (["kappa-star"], 1), (["eigen"], 2),
-        (["verify", "--suite", "structure"], 2), (["branch"], 3)])
+        (["solve"], 1), (["kappa-star"], 1), (["eigen"], 1),
+        (["verify", "--suite", "structure"], 1), (["branch"], 3)])
     def test_commands_hold_the_copies_the_budget_counts(self, tmp_path,
                                                         monkeypatch, argv,
                                                         copies):
         # small assembly blocks, so the dense matrices dominate the peak
         monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 5_000)
         n = 600
-        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
+        path = write_config(tmp_path, problem=PLANE["problem"],
+                            grid=dict(PLANE["grid"], nodes_lateral=20),
+                            solver={"bracket": [0.1, 20.0]},
                             continuation={"start_kappa": 0.3, "step": 0.1,
                                           "max_points": 6})
         code, extra = peak_allocation(run_command,
                                       [argv[0], "--config", path] + argv[1:])
         assert code == 0
         assert copies <= extra / (8 * n * n) <= copies + 0.25
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["kappa-star"], ["eigen"], ["verify", "--suite", "structure"],
+        ["branch"]], ids=lambda argv: argv[0])
+    def test_half_line_commands_hold_no_matrix(self, tmp_path, argv):
+        n = 20_000
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
+                            solver={"bracket": [0.5, 2.5]},
+                            continuation={"start_kappa": 0.3, "step": 0.1,
+                                          "max_points": 6})
+        code, extra = peak_allocation(run_command,
+                                      [argv[0], "--config", path] + argv[1:])
+        assert code == 0
+        assert extra <= operators.HALF_LINE_VECTORS * 8 * n
 
     def test_branch_above_threshold_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, continuation={"start_kappa": 2.5})

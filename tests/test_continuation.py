@@ -5,8 +5,9 @@ from scipy.linalg import lu_factor
 from scalarfield import continuation
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
-from scalarfield.discretization import Field
-from scalarfield.solver import psi_map
+from scalarfield.discretization import Field, build_grid
+from scalarfield.operators import assemble_green, poisson_trace
+from scalarfield.solver import monotone_iterate, psi_map
 
 from conftest import peak_allocation, soliton
 
@@ -75,30 +76,47 @@ class TestTraceBranch:
             trace_branch(2.5, K_line, Pmu_line, 3.0)
 
 
+@pytest.fixture(scope="module")
+def plane():
+    """A small N = 2 problem, for the dense Jacobian path."""
+    g = build_grid(2, 12.0, 12.0, 20, 30)
+    K = assemble_green(g)
+    Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+    return g, K, Pmu, monotone_iterate(0.5, K, Pmu, 3.0).solution.values
+
+
 class TestTangentMemory:
-    def test_tangent_allocates_one_matrix(self, grid_line, K_line, Pmu_line):
+    def test_tangent_allocates_one_matrix(self, plane):
+        _, K, Pmu, u = plane
+        stepper = _Stepper(K, Pmu, 3.0)
+        previous = stepper.tangent(u, None)     # its LU stays alive
+        _, extra = peak_allocation(stepper.tangent, u,
+                                   (previous[1], previous[2]))
+        assert extra <= 1.1 * K.entries.nbytes
+
+    def test_half_line_tangent_holds_a_few_vectors(self, grid_line, K_line,
+                                                   Pmu_line):
         stepper = _Stepper(K_line, Pmu_line, 3.0)
         u = soliton(grid_line.heights, 1.0)
         previous = stepper.tangent(u, None)     # its LU stays alive
         _, extra = peak_allocation(stepper.tangent, u,
                                    (previous[1], previous[2]))
-        assert extra <= 1.1 * K_line.entries.nbytes
+        assert extra <= 16 * 8 * grid_line.n_nodes
 
-    def test_lu_overwrites_the_fortran_ordered_jacobian(self, grid_line,
-                                                        K_line, Pmu_line,
+    def test_lu_overwrites_the_fortran_ordered_jacobian(self, plane,
                                                         monkeypatch):
+        g, K, Pmu, u = plane
         built, jacobian = [], continuation.jacobian
 
         def keep(*args):
             built.append(jacobian(*args))
             return built[-1]
         monkeypatch.setattr(continuation, "jacobian", keep)
-        u = soliton(grid_line.heights, 1.0)
-        lu, _, _ = _Stepper(K_line, Pmu_line, 3.0).tangent(u, None)
+        lu, _, _ = _Stepper(K, Pmu, 3.0).tangent(u, None)
         assert built[0].flags.f_contiguous
         assert np.shares_memory(lu[0], built[0])
-        # the same factors as a copying LU of a C-ordered Jacobian
-        J = np.ascontiguousarray(jacobian(K_line, Field(grid_line, u), 3.0))
+        # the same factors as SciPy's copying LU of a C-ordered Jacobian
+        J = np.ascontiguousarray(jacobian(K, Field(g, u), 3.0))
         copied = lu_factor(J, check_finite=False)
         assert lu[0].tobytes("F") == copied[0].tobytes("F")
         assert np.array_equal(lu[1], copied[1])

@@ -4,9 +4,11 @@ import pytest
 from scalarfield import operators
 from scalarfield.discretization import Field, build_grid
 from scalarfield.kernels import green_G, poisson_P
-from scalarfield.operators import (IterationLimitError, apply_green,
+from scalarfield.operators import (HalfLineGreen, IterationLimitError,
+                                   _assemble_dense, apply_green,
                                    assemble_green, check_matrix_budget,
-                                   jacobian, linearized_spectrum,
+                                   check_memory_budget, jacobian,
+                                   linearized_spectrum, lu_factor, lu_solve,
                                    poisson_trace, smallest_singular_value)
 from scalarfield.solver import monotone_iterate
 
@@ -16,15 +18,17 @@ from conftest import peak_allocation
 class TestAssembly:
     def test_two_node_entries_match_kernel(self):
         g = build_grid(1, 5.0, 5.0, 1, 2, grading=1.0)
-        K = assemble_green(g)
         x1, x2 = g.heights
-        assert K.entries[0, 1] / g.quad_weights[1] \
-            == pytest.approx(green_G(1, x1, x2), rel=1e-14)
+        dense = _assemble_dense(g).entries[0, 1]
+        structured = assemble_green(g).matvec(np.array([0.0, 1.0]))[0]
+        for entry in (dense, structured):
+            assert entry / g.quad_weights[1] \
+                == pytest.approx(green_G(1, x1, x2), rel=1e-14)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_entries_nonnegative_and_near_symmetric(self, N):
         g = build_grid(N, 6.0, 6.0, 10, 14)
-        K = assemble_green(g)
+        K = _assemble_dense(g)
         assert np.all(K.entries >= 0.0)
         bare = K.entries / g.quad_weights[None, :]
         off = ~np.eye(g.n_nodes, dtype=bool)
@@ -37,12 +41,12 @@ class TestAssembly:
         err = np.abs(out.values - (1.0 - np.exp(-grid_line.heights)))
         assert np.max(err[core]) <= 1e-3
 
-    def test_row_sums_below_one(self, K_line):
-        assert np.all(K_line.entries.sum(axis=1) <= 1.0)
+    def test_row_sums_below_one(self, grid_line, K_line):
+        assert np.all(K_line.matvec(np.ones(grid_line.n_nodes)) <= 1.0)
 
     def test_memory_guard(self):
-        # one 23 171-node matrix is just over 4 GiB; it is never allocated
-        g = build_grid(1, 20.0, 20.0, 1, 23_171)
+        # one 23 172-node matrix is just over 4 GiB; it is never allocated
+        g = build_grid(2, 20.0, 20.0, 2, 11_586)
         with pytest.raises(ValueError, match="memory budget"):
             assemble_green(g)
 
@@ -54,6 +58,19 @@ class TestAssembly:
             with pytest.raises(ValueError, match="memory budget"):
                 check_matrix_budget(n, copies)
 
+    def test_half_line_budget_counts_vectors(self):
+        vectors = operators.HALF_LINE_VECTORS
+        check_memory_budget(1, 10 ** 6, 3, 201)
+        n = operators.MAX_MATRIX_BYTES // (8 * (vectors + 201))
+        check_memory_budget(1, n, 3, 201)
+        with pytest.raises(ValueError, match="memory budget"):
+            check_memory_budget(1, n + 1, 3, 201)
+        with pytest.raises(ValueError, match="memory budget"):
+            check_memory_budget(1, 10 ** 9, 1, 0)
+        # a dense grid is still counted in n x n matrices
+        with pytest.raises(ValueError, match="memory budget"):
+            check_memory_budget(2, 13_378, 3, 0)
+
     @pytest.mark.parametrize("N, shape, block_entries", [
         (1, (1, 200), 7 * 200),          # 7-row blocks: 28 full, one of 4
         (2, (6, 10), 11 * 60),           # 11-row blocks: 5 full, one of 5
@@ -61,15 +78,15 @@ class TestAssembly:
     def test_block_size_does_not_change_the_matrix(self, monkeypatch, N,
                                                    shape, block_entries):
         g = build_grid(N, 6.0, 6.0, *shape)
-        whole = assemble_green(g).entries.tobytes()
+        whole = _assemble_dense(g).entries.tobytes()
         monkeypatch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
-        assert assemble_green(g).entries.tobytes() == whole
+        assert _assemble_dense(g).entries.tobytes() == whole
 
     @pytest.mark.parametrize("N, shape", [(1, (1, 2000)), (2, (30, 40)),
                                           (3, (24, 36))])
     def test_assembly_temporaries_are_bounded(self, N, shape):
         g = build_grid(N, 20.0, 20.0, *shape)
-        K, extra = peak_allocation(assemble_green, g)
+        K, extra = peak_allocation(_assemble_dense, g)
         temporaries = extra - K.entries.nbytes
         assert temporaries <= 16 * 8 * operators._BLOCK_ENTRIES
 
@@ -189,26 +206,31 @@ class TestLinearizedSpectrum:
             lam.append(linearized_spectrum(K, u, 3.0).lambda_)
         assert abs(lam[1] - lam[0]) < 1e-3
 
-    def test_compactness_heuristic(self, K_line, Pmu_line):
+    def test_compactness_heuristic(self, K_line, K_line_dense, Pmu_line):
         # singular values of h -> G[p u^{p-1} h] decay fast
         u = monotone_iterate(1.0, K_line, Pmu_line, 3.0).solution
-        Ta = K_line.entries * (3.0 * u.values ** 2)[None, :]
+        Ta = K_line_dense.entries * (3.0 * u.values ** 2)[None, :]
         s = np.linalg.svd(Ta, compute_uv=False)
         assert s[19] / s[0] < 5e-3
         assert s[39] / s[0] < 1e-3
 
 
 class TestJacobianAndSingularValues:
-    def test_jacobian_structure(self, grid_line, K_line):
+    def test_jacobian_structure(self, grid_line, K_line_dense):
         u = Field(grid_line, np.full(grid_line.n_nodes, 0.5))
-        J = jacobian(K_line, u, 3.0)
-        expected = np.eye(grid_line.n_nodes) - K_line.entries * (3.0 * 0.25)
+        J = jacobian(K_line_dense, u, 3.0)
+        expected = (np.eye(grid_line.n_nodes)
+                    - K_line_dense.entries * (3.0 * 0.25))
         np.testing.assert_allclose(J, expected, atol=1e-15)
 
-    def test_negative_part_ignored(self, grid_line, K_line):
+    def test_negative_part_ignored(self, grid_line, K_line, K_line_dense):
         u = Field(grid_line, -np.ones(grid_line.n_nodes))
-        np.testing.assert_allclose(jacobian(K_line, u, 3.0),
+        np.testing.assert_allclose(jacobian(K_line_dense, u, 3.0),
                                    np.eye(grid_line.n_nodes))
+        # the N = 1 Jacobian is the identity too: A = T, so J = S T
+        b = np.cos(grid_line.heights)
+        x = lu_solve(lu_factor(jacobian(K_line, u, 3.0)), b)
+        np.testing.assert_allclose(x, b, rtol=0.0, atol=1e-12)
 
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(23)
@@ -223,3 +245,70 @@ class TestJacobianAndSingularValues:
     def test_square_required(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.ones((3, 4)))
+
+
+def _sech(z):
+    return 2.0 * np.exp(-z) / (1.0 + np.exp(-2.0 * z))   # no overflow
+
+
+@pytest.fixture(scope="module", params=[(300, 20.0), (2000, 20.0),
+                                        (300, 800.0)],
+                ids=lambda c: f"{c[0]}-H{c[1]:g}")
+def half_line(request):
+    """(grid, HalfLineGreen, dense reference, Pmu); at H = 800 sinh(z)
+    overflows, so the operator must use height differences only."""
+    n, H = request.param
+    g = build_grid(1, H, H, 1, n)
+    return (g, assemble_green(g), _assemble_dense(g),
+            poisson_trace(g, {"type": "point_mass", "mass": 1.0}))
+
+
+class TestHalfLineBackend:
+    """The O(n) N = 1 operator against the dense matrix, its reference."""
+
+    def test_matvec(self, half_line):
+        g, K, dense, _ = half_line
+        assert isinstance(K, HalfLineGreen)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, g.n_nodes)
+        ref = dense.matvec(x)
+        assert np.max(np.abs(K.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_jacobian_solves(self, half_line, trans):
+        g, K, dense, Pmu = half_line
+        u = monotone_iterate(1.0, K, Pmu, 3.0).solution
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        x, ref = (lu_solve(lu_factor(jacobian(op, u, 3.0)), b, trans=trans)
+                  for op in (K, dense))
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_two_node_jacobian_solves(self):
+        g = build_grid(1, 5.0, 5.0, 1, 2, grading=1.0)
+        u = Field(g, np.array([0.8, 0.3]))
+        b = np.array([1.0, -2.0])
+        for trans in (0, 1):
+            x, ref = (lu_solve(lu_factor(jacobian(op, u, 3.0)), b,
+                               trans=trans)
+                      for op in (assemble_green(g), _assemble_dense(g)))
+            np.testing.assert_allclose(x, ref, rtol=1e-12)
+
+    def test_spectrum(self, half_line):
+        g, K, dense, Pmu = half_line
+        u = monotone_iterate(1.0, K, Pmu, 3.0).solution
+        res, ref = (linearized_spectrum(op, u, 3.0) for op in (K, dense))
+        assert abs(res.lambda_ - ref.lambda_) <= 1e-10
+        assert res.iterations == ref.iterations
+
+    def test_smallest_singular_value_at_the_fold(self, half_line):
+        g, K, dense, _ = half_line
+        u = Field(g, np.sqrt(2.0) * _sech(g.heights))
+        sigma, ref = (smallest_singular_value(jacobian(op, u, 3.0))
+                      for op in (K, dense))
+        assert sigma == pytest.approx(ref, rel=1e-5)
+
+    def test_fold(self, half_line):
+        from scalarfield.continuation import detect_fold, trace_branch
+        g, K, dense, Pmu = half_line
+        folds = [detect_fold(trace_branch(0.2, op, Pmu, 3.0))[0]
+                 for op in (K, dense)]
+        assert abs(folds[0] - folds[1]) <= 1e-10

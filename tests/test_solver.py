@@ -96,6 +96,21 @@ class TestMonotoneIterate:
             monotone_iterate(0.5, K_line, Pmu_line, 3.0, blowup_cap=-1.0)
 
 
+    def test_refinement_against_the_closed_form(self):
+        # the O(n) half-line operator reaches grids where the error of the
+        # minimal solution at kappa = 1.2 meets the 1e-8 stopping rule
+        errors = {}
+        for n in (2000, 8000, 100_000):
+            g = build_grid(1, 20.0, 20.0, 1, n)
+            res = monotone_iterate(1.2, assemble_green(g), poisson_trace(
+                g, {"type": "point_mass", "mass": 1.0}), 3.0)
+            assert res.converged
+            errors[n] = np.max(np.abs(res.solution.values
+                                      - soliton(g.heights, 1.2)))
+        assert errors[8000] <= errors[2000] / 8.0
+        assert errors[100_000] <= 1e-8
+
+
 class TestNewtonRefine:
     def test_polishes_iteration_output(self, K_line, Pmu_line):
         seed = monotone_iterate(1.0, K_line, Pmu_line, 3.0, tol=1e-6).solution
