@@ -207,14 +207,19 @@ def _grid(cfg):
                       gc["nodes_lateral"], gc["nodes_height"], gc["grading"])
 
 
-def _build_problem(cfg, copies, fields=0):
-    """Grid, Green operator and Pmu, once what the command holds at once
-    fits the memory budget: `copies` dense n x n matrices for N >= 2, the
-    operator's vectors and `fields` kept fields for N = 1.  The budget is
-    checked before the grid is built."""
+def _check_budget(cfg, copies, fields=0):
+    """Refuse, from the config alone, a grid whose arrays held at once
+    exceed the memory budget: `copies` dense n x n matrices for N >= 2, the
+    operator's vectors and `fields` kept fields for N = 1."""
     N, gc = cfg["problem"]["N"], cfg["grid"]
     n = gc["nodes_height"] * (1 if N == 1 else gc["nodes_lateral"])
     check_memory_budget(N, n, copies, fields)
+
+
+def _build_problem(cfg, copies, fields=0):
+    """Grid, Green operator and Pmu; the budget is checked before the grid
+    is built."""
+    _check_budget(cfg, copies, fields)
     grid = _grid(cfg)
     K = assemble_green(grid)
     Pmu = poisson_trace(grid, cfg["problem"]["mu_spec"])
@@ -342,6 +347,8 @@ _GINTEST_TRIPLES = {
 def _cmd_verify(cfg, suite: str) -> int:
     prob = cfg["problem"]
     N, seed = prob["N"], cfg["seed"]
+    # the kernels and structure suites build the config's grid
+    _check_budget(cfg, copies=1)
     reports = []
     if suite in ("kernels", "all"):
         reports.append(verify_kernel_identities(_grid(cfg), seed=seed))

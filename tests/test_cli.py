@@ -226,10 +226,15 @@ class TestExitCodes:
         (["solve"], {"output_dir": "taken"}, None, 1, "io error"),
         (["verify", "--suite", "kernels"], {},
          ("verify_kernel_identities", _failing_check), 1, ""),
+        # every verify suite is checked before the first one runs
+        (["verify", "--suite", "kernels"],
+         {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
+         ("build_grid", _no_grid), 2, "memory budget"),
     ], ids=["unknown-command", "exponents-N0", "memory-budget", "radial-N1",
             "eigen-above-threshold", "eigen-weight-vanishes",
             "bracket-below-threshold",
-            "output-dir-is-file", "verify-check-fails"])
+            "output-dir-is-file", "verify-check-fails",
+            "verify-memory-budget"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
         monkeypatch.chdir(tmp_path)

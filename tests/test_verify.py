@@ -1,6 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
+from scalarfield import verify
 from scalarfield.discretization import build_grid
 from scalarfield.verify import (verify_gintest_scaling, verify_glaa,
                                 verify_kernel_identities,
@@ -26,11 +31,68 @@ class TestKernelIdentities:
         assert a == b
 
 
+# Closed forms of the half-line integral of (G(t, y) h(y)^theta)^s over
+# (0, 30), with G = e^-t sinh y below y = t and sinh t e^-y above it.
+def _squared_integral_s2(t):
+    """s = 2, theta = -1; the result is I^2."""
+    sh2 = math.sinh(t) ** 2
+    shi, _ = special.shichi(2.0 * t)
+    return (math.exp(-2.0 * t) * (shi - sh2 / t)
+            + 2.0 * sh2 * (special.expn(2, 2.0 * t) / (2.0 * t)
+                           - special.expn(2, 2.0) / 2.0)
+            + sh2 * (math.exp(-2.0) - math.exp(-60.0)) / 2.0)
+
+
+def _upper_gamma(a, x):
+    """Gamma(a, x) for -1 < a < 0, from Gamma(a + 1, x)."""
+    return (special.gamma(a + 1.0) * special.gammaincc(a + 1.0, x)
+            - x ** a * math.exp(-x)) / a
+
+
+def _integral_s1(theta, t):
+    """s = 1, -2 < theta < -1."""
+    below = sum(t ** (2 * k + 2 + theta)
+                / (math.factorial(2 * k + 1) * (2 * k + 2 + theta))
+                for k in range(8))
+    a = 1.0 + theta
+    return (math.exp(-t) * below
+            + math.sinh(t) * (_upper_gamma(a, t) - _upper_gamma(a, 1.0))
+            + math.sinh(t) * (math.exp(-1.0) - math.exp(-30.0)))
+
+
 class TestGintestScaling:
     def test_half_line_reference_triple(self):
         rep = verify_gintest_scaling(1, 1.0, -1.5)
         assert rep.passed
         assert rep.statistic == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("s, theta, closed_form, tol", [
+        (2.0, -1.0, lambda t: np.sqrt(_squared_integral_s2(t)), 1e-10),
+        # the floor is green_G's cancellation e^-(t-y) - e^-(t+y) at y << t
+        (1.0, -1.5, lambda t: _integral_s1(-1.5, t), 2e-6),
+        (1.0, -1.2, lambda t: _integral_s1(-1.2, t), 2e-6),
+    ], ids=["s2-theta-1", "s1-theta-1.5", "s1-theta-1.2"])
+    def test_half_line_integrals_match_closed_forms(self, s, theta,
+                                                    closed_form, tol):
+        rep = verify_gintest_scaling(1, s, theta)
+        for t, value in zip(rep.details["heights"], rep.details["values"]):
+            assert value == pytest.approx(closed_form(t), rel=tol)
+
+    def test_one_green_call_per_height(self, monkeypatch):
+        calls = []
+        green_G = verify.green_G
+
+        def counted(*args):
+            calls.append(args)
+            return green_G(*args)
+
+        monkeypatch.setattr(verify, "green_G", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_gintest_scaling(1, 1.0, -1.5)
+        assert len(calls) == len(rep.details["heights"]) == 6
+        # the slope the adaptive quadrature gave before the fixed rule
+        assert rep.statistic == pytest.approx(0.494942, abs=1e-6)
 
     def test_inadmissible_exponents_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
