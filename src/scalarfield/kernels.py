@@ -113,7 +113,9 @@ def green_G(N: int, x, y):
 
     x, y: arrays of shape (..., N) with positive last coordinate.  Raises on
     separations below MIN_SEPARATION; the discretization layer owns the
-    diagonal treatment.
+    diagonal treatment.  For N = 1 the difference is evaluated as
+    -expm1(-2 min(x, y)) exp(-|x - y|) / 2, which does not cancel at
+    y << x.
     """
     _check_dimension(N)
     x = _as_points(N, x)
@@ -124,6 +126,10 @@ def green_G(N: int, x, y):
     if np.any(direct < MIN_SEPARATION):
         raise ValueError("green_G evaluated at (near-)coincident points; "
                          "handle the quadrature diagonal separately")
+    if N == 1:
+        nearer = np.minimum(x[..., 0], y[..., 0])
+        out = -0.5 * np.expm1(-2.0 * nearer) * np.exp(-direct)
+        return out if np.ndim(out) else float(out)
     xr = x.copy()
     xr[..., -1] = -xr[..., -1]
     mirrored = np.linalg.norm(xr - y, axis=-1)

@@ -7,8 +7,12 @@ average of the kernel.  For N = 1 it is exact and O(n): the sampled kernel
 is semiseparable, and its inverse is tridiagonal in closed form
 (`HalfLineGreen`).  Either way the singular quadrature diagonal averages the
 kernel over sub-points of the cell instead of evaluating it at the
-(coincident) midpoint.  `lu_factor` / `lu_solve` are the package's only
-factorization of the Jacobian `jacobian` returns for either operator.
+(coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
+slab per lateral offset, since on the uniform lateral grid a pair average
+depends on the two columns only through their offsets; N = 3 (and the dense
+N = 1 reference) is evaluated row block by row block.  `lu_factor` /
+`lu_solve` are the package's only factorization of the Jacobian `jacobian`
+returns for either operator.
 """
 
 from __future__ import annotations
@@ -184,9 +188,12 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
     and the configurations must keep the direct distance positive.
     """
     dz = z_x - z_y
-    sz = z_x + z_y
     if N == 1:
-        return 0.5 * (np.exp(-np.abs(dz)) - np.exp(-sz))
+        # (e^-|dz| - e^-(z_x + z_y)) / 2, without its cancellation near the
+        # boundary
+        nearer = np.minimum(z_x, z_y)
+        return -0.5 * np.expm1(-2.0 * nearer) * np.exp(-np.abs(dz))
+    sz = z_x + z_y
     if N == 2:
         d_near = np.hypot(rho_x - rho_y, dz)
         d_far = np.hypot(rho_x + rho_y, dz)
@@ -280,17 +287,28 @@ def assemble_green(grid: Grid) -> GreenOperator:
 def _assemble_dense(grid: Grid) -> KernelMatrix:
     """Dense Green matrix for any dimension.
 
-    Rows are filled in blocks of about _BLOCK_ENTRIES kernel evaluations
-    (times the angle count for N = 3), diagonal included, so no temporary
-    grows with n x n; the block size does not change a bit of the result.
+    N = 2 is built from one kernel slab per lateral offset (`_fill_plane`),
+    N = 1, 3 row block by row block (`_fill_rows`).  Either way no temporary
+    grows with n x n, and the block size does not change a bit of the result.
     """
     n = grid.n_nodes
     check_matrix_budget(n, copies=1)
+    entries = np.empty((n, n))
+    if grid.dimension == 2:
+        _fill_plane(grid, entries)
+    else:
+        _fill_rows(grid, entries)
+    entries *= grid.quad_weights[None, :]
+    return KernelMatrix(grid=grid, entries=entries)
+
+
+def _fill_rows(grid: Grid, entries: np.ndarray) -> None:
+    """Bare kernel rows in blocks of about _BLOCK_ENTRIES kernel evaluations
+    (times the angle count for N = 3), diagonal included."""
+    n = grid.n_nodes
     N = grid.dimension
     z = grid.heights
     rho = np.zeros(n) if N == 1 else grid.radii
-
-    entries = np.empty((n, n))
     block = max(1, _BLOCK_ENTRIES // (n * (_GAUSS_ANGLES if N == 3 else 1)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -303,8 +321,48 @@ def _assemble_dense(grid: Grid) -> KernelMatrix:
         entries[idx, idx] = _cell_average(N, rho[lo:hi], z[lo:hi],
                                           grid.cell_sizes[lo:hi])
 
-    entries *= grid.quad_weights[None, :]
-    return KernelMatrix(grid=grid, entries=entries)
+
+def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
+    """Bare N = 2 kernel from one height-by-height slab per lateral offset.
+
+    Node (a, i) sits at radius (a + 1/2) dr and height z_i, a < nl, i < nh,
+    on build_grid's uniform lateral midpoints.  Its mirror-pair average with
+    (b, j) depends on a and b only through the offsets |a - b| (the direct
+    pair) and a + b + 1 (the mirrored pair):
+
+        block (a, b) = (T_|a-b| + T_(a+b+1)) / 2,
+        T_d[i, j] = E(hypot(d dr, z_i - z_j)) - E(hypot(d dr, z_i + z_j)),
+
+    so 2 nl slabs of nh x nh hold every kernel value of the nl^2 blocks.
+    The slabs are built for blocks of height rows, about _BLOCK_ENTRIES
+    kernel pairs each; the singular diagonal is the sub-cell average.
+    """
+    heights = grid.heights
+    nl = int(np.count_nonzero(heights == heights[0]))
+    nh = grid.n_nodes // nl
+    z = heights[:nh]
+    lateral = (grid.cell_sizes[0, 0] * np.arange(2 * nl))[:, None, None]
+    columns = np.arange(nl)
+    direct = np.abs(columns[:, None] - columns[None, :])
+    mirrored = columns[:, None] + columns[None, :] + 1
+    out = entries.reshape(nl, nh, nl, nh)       # out[a, i, b, j]
+    block = max(1, _BLOCK_ENTRIES // (2 * nl * nh))
+    for lo in range(0, nh, block):
+        hi = min(lo + block, nh)
+        source = np.hypot(lateral, z[lo:hi, None] - z[None, :])
+        # dodge the singular d = 0, i = j entries; the diagonal is
+        # overwritten below
+        source[0, np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        image = np.hypot(lateral, z[lo:hi, None] + z[None, :])
+        slabs = fundamental_E(2, source)
+        slabs -= fundamental_E(2, image)
+        for a in range(nl):
+            pair = slabs[direct[a]]
+            pair += slabs[mirrored[a]]
+            pair *= 0.5
+            out[a, lo:hi] = pair.transpose(1, 0, 2)
+    np.fill_diagonal(entries, _cell_average(2, grid.radii, heights,
+                                            grid.cell_sizes))
 
 
 def apply_green(K: GreenOperator, f: Field) -> Field:

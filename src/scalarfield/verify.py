@@ -15,9 +15,9 @@ y^(s(1 + theta)) singularity) and toward the kink at y = t from both sides
 (down to 1e-4 t): the hp rule for endpoint power singularities (Schwab,
 p- and hp-Finite Element Methods, 1998).  N = 2, 3 tensor it with a
 600-point geometric trapezoid in the lateral radius.  Against closed forms
-for N = 1 it reads <= 1e-11 relative for s = 2; for s = 1 its floor is
-~1e-6 (theta = -1.5), set by the cancellation e^-(t-y) - e^-(t+y) inside G
-at y << t, which any rule that evaluates green_G shares.
+for N = 1 it reads <= 1e-11 relative for s = 2 and for (s, theta) =
+(1, -1.2); at (1, -1.5) its floor is ~1e-8, set by the innermost panel,
+(0, 1e-12 t), at the y^(-1/2) singularity of the integrand.
 """
 
 from __future__ import annotations

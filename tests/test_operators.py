@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from scalarfield import operators
+from scalarfield import kernels, operators
 from scalarfield.discretization import Field, build_grid
 from scalarfield.kernels import green_G, poisson_P
 from scalarfield.operators import (HalfLineGreen, IterationLimitError,
-                                   _assemble_dense, apply_green,
-                                   assemble_green, check_matrix_budget,
+                                   _assemble_dense, _cell_average,
+                                   apply_green, assemble_green,
+                                   check_matrix_budget,
                                    check_memory_budget, jacobian,
                                    linearized_spectrum, lu_factor, lu_solve,
                                    poisson_trace, smallest_singular_value)
@@ -73,7 +74,8 @@ class TestAssembly:
 
     @pytest.mark.parametrize("N, shape, block_entries", [
         (1, (1, 200), 7 * 200),          # 7-row blocks: 28 full, one of 4
-        (2, (6, 10), 11 * 60),           # 11-row blocks: 5 full, one of 5
+        (2, (6, 11), 660),               # 5 height rows of 12 slabs: 2 full
+                                         # blocks, one of 1
         (3, (6, 8), 5 * 48 * 32)])       # 5-row blocks: 9 full, one of 3
     def test_block_size_does_not_change_the_matrix(self, monkeypatch, N,
                                                    shape, block_entries):
@@ -82,13 +84,48 @@ class TestAssembly:
         monkeypatch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
         assert _assemble_dense(g).entries.tobytes() == whole
 
+    # (2, 2000): 4 slabs of 2000 x 2000 heights are 16 * 10^6 entries
     @pytest.mark.parametrize("N, shape", [(1, (1, 2000)), (2, (30, 40)),
-                                          (3, (24, 36))])
+                                          (3, (24, 36)), (2, (2, 2000))])
     def test_assembly_temporaries_are_bounded(self, N, shape):
         g = build_grid(N, 20.0, 20.0, *shape)
         K, extra = peak_allocation(_assemble_dense, g)
         temporaries = extra - K.entries.nbytes
         assert temporaries <= 16 * 8 * operators._BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("shape", [(6, 10), (20, 30)])
+    def test_plane_entries_match_mirror_pair_oracle(self, shape):
+        g = build_grid(2, 12.0, 12.0, *shape)
+        entries = _assemble_dense(g).entries
+        np.testing.assert_array_equal(
+            np.diag(entries),
+            _cell_average(2, g.radii, g.heights, g.cell_sizes)
+            * g.quad_weights)
+        bare = entries / g.quad_weights[None, :]
+        rows, cols = np.nonzero(~np.eye(g.n_nodes, dtype=bool))
+        x, y = g.nodes[rows], g.nodes[cols]
+        y_mirror = y * np.array([-1.0, 1.0])
+        oracle = 0.5 * (green_G(2, x, y) + green_G(2, x, y_mirror))
+        row_max = np.max(np.abs(bare), axis=1)
+        assert np.all(np.abs(bare[rows, cols] - oracle)
+                      <= 1e-13 * row_max[rows])
+
+    def test_one_kernel_slab_per_lateral_offset(self, monkeypatch):
+        nl, nh = 20, 30
+        g = build_grid(2, 12.0, 12.0, nl, nh)
+        points = []
+        bessel_k0 = kernels.bessel_k0
+
+        def counted(r):
+            points.append(np.size(r))
+            return bessel_k0(r)
+
+        monkeypatch.setattr(kernels, "bessel_k0", counted)
+        _assemble_dense(g)
+        # 2 nl slabs of nh x nh pairs, two distances a pair, and the
+        # diagonal's 4 distances at 4 sub-points a node; pairwise entries
+        # would take 4 n^2
+        assert sum(points) <= 2 * (2 * nl) * nh ** 2 + 16 * g.n_nodes
 
 
 class TestApply:

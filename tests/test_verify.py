@@ -68,9 +68,10 @@ class TestGintestScaling:
 
     @pytest.mark.parametrize("s, theta, closed_form, tol", [
         (2.0, -1.0, lambda t: np.sqrt(_squared_integral_s2(t)), 1e-10),
-        # the floor is green_G's cancellation e^-(t-y) - e^-(t+y) at y << t
-        (1.0, -1.5, lambda t: _integral_s1(-1.5, t), 2e-6),
-        (1.0, -1.2, lambda t: _integral_s1(-1.2, t), 2e-6),
+        # the theta = -1.5 floor (1.2e-8) is the rule's innermost panel,
+        # (0, 1e-12 t), at the y^(-1/2) singularity of the integrand
+        (1.0, -1.5, lambda t: _integral_s1(-1.5, t), 5e-8),
+        (1.0, -1.2, lambda t: _integral_s1(-1.2, t), 5e-8),
     ], ids=["s2-theta-1", "s1-theta-1.5", "s1-theta-1.2"])
     def test_half_line_integrals_match_closed_forms(self, s, theta,
                                                     closed_form, tol):
