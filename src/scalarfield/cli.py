@@ -17,7 +17,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -118,7 +117,8 @@ def _check_mu_spec(spec, where):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=lambda name: _require(
+                False, f"config numbers must be finite, not {name}"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -239,15 +239,11 @@ def _cmd_exponents(args) -> int:
     print(f"N = {N}")
     print(f"p_sobolev = {FLOAT_FMT % crit.p_sobolev}")
     print(f"p_joseph_lundgren = {FLOAT_FMT % crit.p_joseph_lundgren}")
-    admissible = 0
-    total = 0
     q_hi = max(4 * p, 3 * N * (p - 1))  # keep the scan inside reach of N/q + alpha < 2/(p-1)
-    for q in np.linspace(p + 0.25, q_hi, 16):
-        for alpha in np.linspace(0.0, 1.5, 7):
-            total += 1
-            if check_admissible(N, p, float(q), float(alpha)).valid:
-                admissible += 1
-    print(f"admissibility scan at p = {p:g}: {admissible}/{total} "
+    scan = [check_admissible(N, p, float(q), float(alpha)).valid
+            for q in np.linspace(p + 0.25, q_hi, 16)
+            for alpha in np.linspace(0.0, 1.5, 7)]
+    print(f"admissibility scan at p = {p:g}: {sum(scan)}/{len(scan)} "
           f"(q, alpha) pairs admissible")
     return 0
 
@@ -413,15 +409,10 @@ def run_command(argv=None) -> int:
         if args.command == "exponents":
             return _cmd_exponents(args)
         cfg = load_config(args.config)
-        if args.command == "solve":
-            return _cmd_solve(cfg)
-        if args.command == "kappa-star":
-            return _cmd_kappa_star(cfg)
-        if args.command == "eigen":
-            return _cmd_eigen(cfg)
-        if args.command == "branch":
-            return _cmd_branch(cfg)
-        return _cmd_verify(cfg, args.suite)
+        if args.command == "verify":
+            return _cmd_verify(cfg, args.suite)
+        return {"solve": _cmd_solve, "kappa-star": _cmd_kappa_star,
+                "eigen": _cmd_eigen, "branch": _cmd_branch}[args.command](cfg)
     # first, because BracketError, NoMinimalSolutionError and
     # DegenerateLinearizationError are ValueErrors
     except (BracketError, NoMinimalSolutionError, NearFoldError,

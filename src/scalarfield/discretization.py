@@ -54,13 +54,6 @@ class Grid:
         return np.pi * R * R * H
 
 
-def _graded_cells(extent: float, n: int, grading: float):
-    edges = extent * (np.arange(n + 1) / n) ** grading
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    return edges, mids, widths
-
-
 def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
                nodes_height: int, grading: float = 2.0) -> Grid:
     """Tensor midpoint grid; grading >= 1 concentrates height nodes near the wall."""
@@ -73,7 +66,8 @@ def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
     if grading < 1.0:
         raise ValueError("grading must be >= 1")
 
-    _, z_mid, z_w = _graded_cells(H, nodes_height, grading)
+    z_edges = H * (np.arange(nodes_height + 1) / nodes_height) ** grading
+    z_mid, z_w = 0.5 * (z_edges[:-1] + z_edges[1:]), np.diff(z_edges)
     if dimension == 1:
         nodes = z_mid[:, None]
         weights = z_w

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-def _exact(x) -> Fraction:
-    # float -> Fraction is exact, so < and <= below are decided exactly
-    return Fraction(x)
+# float -> Fraction is exact, so < and <= below are decided exactly
+_exact = Fraction
 
 
 @dataclass(frozen=True)

@@ -152,9 +152,7 @@ def poisson_P(N: int, x, z=None):
     if N == 1:
         out = np.exp(-height)
         return out if np.ndim(out) else float(out)
-    z = np.zeros(N - 1) if z is None else np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        z = z[None]
+    z = np.zeros(N - 1) if z is None else np.atleast_1d(np.asarray(z, float))
     if z.shape[-1] != N - 1:
         raise ValueError(f"boundary points must have {N - 1} coordinates")
     lateral = x[..., :-1] - z

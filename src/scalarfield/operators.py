@@ -10,7 +10,10 @@ kernel over sub-points of the cell instead of evaluating it at the
 (coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
 slab per lateral offset, since on the uniform lateral grid a pair average
 depends on the two columns only through their offsets; N = 3 (and the dense
-N = 1 reference) is evaluated row block by row block.  `lu_factor` /
+N = 1 reference) is evaluated row block by row block.  A mirror pair is
+the two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
+Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
+default grids; no adaptive quadrature is left in this module.  `lu_factor` /
 `lu_solve` are the package's only factorization of the Jacobian `jacobian`
 returns for either operator.
 """
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .discretization import Field, Grid
@@ -39,6 +41,8 @@ _JACOBIAN_COLUMNS = 64
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
+_TRACE_ORDER = 12  # points per Gauss-Legendre panel of the radial trace
+_PAIR = (np.array([0.0, np.pi]), np.array([0.5, 0.5]))
 _SPECTRUM_ITERS = 20_000
 _SVD_TOL = 1e-10
 _SVD_ITERS = 500
@@ -176,9 +180,19 @@ class _TridiagonalLU:
 GreenOperator = KernelMatrix | HalfLineGreen
 
 
-def _gauss_on_0_pi(n: int):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * np.pi * (t + 1.0), 0.5 * w  # weights sum to 1 (average over angle)
+def gauss_panels(edges, order: int):
+    """Composite order-point Gauss-Legendre nodes and weights on the panels
+    between consecutive edges (last axis); zero-width panels add nothing."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    shape = np.shape(edges)[:-1] + (-1,)
+    return ((edges[..., :-1, None] + half * (x + 1.0)).reshape(shape),
+            (half * w).reshape(shape))
+
+
+def _lateral_sq(rho_x, rho_y, phi):
+    """|x' - y'|^2 for radii rho_x, rho_y at angle phi apart; no cancellation."""
+    return (rho_x - rho_y) ** 2 + 4.0 * rho_x * rho_y * np.sin(0.5 * phi) ** 2
 
 
 def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
@@ -193,25 +207,13 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
         # boundary
         nearer = np.minimum(z_x, z_y)
         return -0.5 * np.expm1(-2.0 * nearer) * np.exp(-np.abs(dz))
-    sz = z_x + z_y
-    if N == 2:
-        d_near = np.hypot(rho_x - rho_y, dz)
-        d_far = np.hypot(rho_x + rho_y, dz)
-        m_near = np.hypot(rho_x - rho_y, sz)
-        m_far = np.hypot(rho_x + rho_y, sz)
-        return 0.5 * ((fundamental_E(2, d_near) - fundamental_E(2, m_near))
-                      + (fundamental_E(2, d_far) - fundamental_E(2, m_far)))
-    phi, w_phi = _gauss_on_0_pi(n_angles)
-    shape = np.broadcast_shapes(np.shape(rho_x), np.shape(z_x),
-                                np.shape(rho_y), np.shape(z_y))
-    rho_x, rho_y = np.broadcast_to(rho_x, shape), np.broadcast_to(rho_y, shape)
-    dz, sz = np.broadcast_to(dz, shape), np.broadcast_to(sz, shape)
-    lat2 = (rho_x[..., None] ** 2 + rho_y[..., None] ** 2
-            - 2.0 * rho_x[..., None] * rho_y[..., None] * np.cos(phi))
+    phi, w_phi = (_PAIR if N == 2
+                  else gauss_panels(np.array([0.0, np.pi]), n_angles))
+    lat2 = _lateral_sq(rho_x[..., None], rho_y[..., None], phi)
     direct = np.sqrt(lat2 + dz[..., None] ** 2)
-    mirror = np.sqrt(lat2 + sz[..., None] ** 2)
-    vals = fundamental_E(3, direct) - fundamental_E(3, mirror)
-    return vals @ w_phi
+    mirror = np.sqrt(lat2 + (z_x + z_y)[..., None] ** 2)
+    vals = fundamental_E(N, direct) - fundamental_E(N, mirror)
+    return vals @ w_phi / np.sum(w_phi)
 
 
 def check_matrix_budget(n: int, copies: int) -> None:
@@ -377,11 +379,56 @@ def _radial_profile(mu_spec: dict):
     values = np.asarray(mu_spec["values"], dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
         raise ValueError("radial_density needs matching 1-d 'radii' and 'values'")
+    if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+        raise ValueError("radial density 'radii' and 'values' must be finite")
     if np.any(np.diff(radii) <= 0.0) or radii[0] < 0.0:
         raise ValueError("'radii' must be increasing and nonnegative")
     if np.any(values < 0.0):
         raise ValueError("radial density values must be nonnegative")
     return radii, values
+
+
+def _doublings(near, far):
+    """near * 2^k for k = 0 .. L - 1, with the fewest L that reach every far."""
+    levels = 1 + int(np.max(np.ceil(np.log2(far / near)), initial=0))
+    return near * 2.0 ** np.arange(levels)
+
+
+def _radial_trace(grid: Grid, radii, values) -> np.ndarray:
+    """P[mu] at every node for a radial density mu: composite Gauss-Legendre
+    in s with edges at the knots and clip(r_i +- (h_i/2) 2^k, 0, r_max),
+    h_i = min(z_i, 1) (P's pole distance, capped at its decay length), and,
+    for N = 3, in phi with edges 0, min((c/2) 2^k, pi), pi, where c is the
+    distance of the kernel's complex pole from phi = 0.  Zero-weight points
+    are dropped; a block of about _BLOCK_ENTRIES kernel values is one
+    poisson_P call."""
+    N, n = grid.dimension, grid.n_nodes
+    r, z, r_max = grid.radii[:, None], grid.heights[:, None], radii[-1]
+    steps = _doublings(np.minimum(0.5 * z, 0.5),
+                       np.maximum(r, np.abs(r_max - r)))
+    s, w = gauss_panels(np.sort(np.hstack([
+        np.broadcast_to(np.append(0.0, radii), (n, radii.size + 1)),
+        np.clip(r - steps, 0.0, r_max), np.clip(r + steps, 0.0, r_max)])),
+        _TRACE_ORDER)
+    # ring measure x average: 2 x pair mean, 2 pi s x (integral on (0, pi))/pi
+    w *= np.interp(s, radii, values) * (2.0 if N == 2 else 2.0 * s)
+    node, col = np.nonzero(w)
+    s, w, r, z = s[node, col], w[node, col], r[node, 0], z[node, 0]
+    c = np.sqrt(((r - s) ** 2 + z * z) / (r * s))
+    angle_steps = _doublings(0.5, np.pi / c)
+    ring = np.empty(s.size)
+    block = max(1, _BLOCK_ENTRIES // (
+        2 if N == 2 else _TRACE_ORDER * (angle_steps.size + 1)))
+    for lo in range(0, s.size, block):
+        pairs = slice(lo, lo + block)
+        phi, w_phi = _PAIR if N == 2 else gauss_panels(np.pad(
+            np.minimum(c[pairs, None] * angle_steps, np.pi), ((0, 0), (1, 1)),
+            constant_values=(0.0, np.pi)), _TRACE_ORDER)
+        lat = np.sqrt(_lateral_sq(r[pairs, None], s[pairs, None], phi))
+        x = np.zeros(lat.shape + (N,))
+        x[..., 0], x[..., -1] = lat, z[pairs, None]
+        ring[pairs] = np.sum(poisson_P(N, x) * w_phi, axis=-1)
+    return np.bincount(node, weights=w * ring, minlength=n)
 
 
 def poisson_trace(grid: Grid, mu_spec: dict) -> Field:
@@ -390,7 +437,7 @@ def poisson_trace(grid: Grid, mu_spec: dict) -> Field:
     mu_spec is either {"type": "point_mass", "mass": m} (a Dirac mass at the
     boundary origin) or {"type": "radial_density", "radii": [...],
     "values": [...]} (a radially symmetric density, linearly interpolated,
-    zero beyond the last radius).
+    zero beyond the last radius), summed by `_radial_trace`.
     """
     if not isinstance(mu_spec, dict) or "type" not in mu_spec:
         raise ValueError("mu_spec must be a dict with a 'type' key")
@@ -411,34 +458,7 @@ def poisson_trace(grid: Grid, mu_spec: dict) -> Field:
         if N == 1:
             raise ValueError("radial_density needs N >= 2; the half-line "
                              "boundary is a single point (use point_mass)")
-        radii, values = _radial_profile(mu_spec)
-        r_max = float(radii[-1])
-        density = lambda s: np.interp(s, radii, values, left=values[0], right=0.0)
-        out = np.empty(grid.n_nodes)
-        if N == 2:
-            for i, (r_i, z_i) in enumerate(zip(grid.radii, grid.heights)):
-                def f(s, r_i=r_i, z_i=z_i):
-                    return density(s) * (poisson_P(2, (r_i - s, z_i))
-                                         + poisson_P(2, (r_i + s, z_i)))
-                pts = [r_i] if 0.0 < r_i < r_max else None
-                out[i], _ = quad(f, 0.0, r_max, points=pts, limit=200)
-        else:
-            # the angular kernel peaks sharply near phi = 0 for nodes close
-            # to the boundary, so the angle is integrated adaptively too
-            for i, (r_i, z_i) in enumerate(zip(grid.radii, grid.heights)):
-                def f(s, r_i=r_i, z_i=z_i):
-                    def ring(phi):
-                        lat2 = (r_i * r_i + s * s
-                                - 2.0 * r_i * s * np.cos(phi))
-                        rho_ = np.sqrt(lat2 + z_i * z_i)
-                        return (2.0 * z_i * np.exp(-rho_) * (1.0 + rho_)
-                                / (4.0 * np.pi * rho_ ** 3))
-                    angular, _ = quad(ring, 0.0, np.pi, limit=100,
-                                      epsabs=1e-12, epsrel=1e-9)
-                    return density(s) * s * 2.0 * angular
-                pts = [r_i] if 0.0 < r_i < r_max else None
-                out[i], _ = quad(f, 0.0, r_max, points=pts, limit=200)
-        return Field(grid, out)
+        return Field(grid, _radial_trace(grid, *_radial_profile(mu_spec)))
 
     raise ValueError(f"unknown boundary measure type {kind!r}")
 

@@ -31,7 +31,7 @@ from .discretization import Field, Grid, build_grid, weight_h
 from .exponents import green_norm_pair_ok
 from .kernels import fundamental_E, fundamental_dE, green_G, poisson_P
 from .operators import (_BLOCK_ENTRIES, GreenOperator, apply_green,
-                        assemble_green, linearized_spectrum)
+                        assemble_green, gauss_panels, linearized_spectrum)
 from .solver import monotone_iterate, psi_map
 
 MASS_TOL = 1e-4
@@ -181,9 +181,7 @@ def _height_rule(t: float):
         _geometric_edges(t, 0.5 * t, _KINK_GAP * t)[-2::-1],
         _geometric_edges(t, 1.0, _KINK_GAP * t)[1:],
         np.linspace(1.0, _CUT, _TAIL_PANELS + 1)[1:]])
-    x, w = np.polynomial.legendre.leggauss(_HEIGHT_ORDER)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    return gauss_panels(edges, _HEIGHT_ORDER)
 
 
 def _green_theta_integral(N: int, s: float, theta: float, t: float) -> float:

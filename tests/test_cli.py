@@ -230,11 +230,24 @@ class TestExitCodes:
         (["verify", "--suite", "kernels"],
          {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
          ("build_grid", _no_grid), 2, "memory budget"),
+        # json.load reads NaN and Infinity; none of them is a valid value
+        (["solve"], {"problem": {"mu_spec": {"type": "point_mass",
+                                             "mass": float("nan")}}},
+         None, 2, "must be finite"),
+        (["solve"], {"problem": {"p": float("inf")}}, None, 2,
+         "must be finite"),
+        (["solve"], {"problem": {"N": 2, "mu_spec": {
+            "type": "radial_density", "radii": [0.0, float("nan")],
+            "values": [1.0, 0.0]}}, "grid": PLANE["grid"]}, None, 2,
+         "must be finite"),
+        (["solve"], {"grid": dict(FAST_GRID, R=float("inf"))}, None, 2,
+         "must be finite"),
     ], ids=["unknown-command", "exponents-N0", "memory-budget", "radial-N1",
             "eigen-above-threshold", "eigen-weight-vanishes",
             "bracket-below-threshold",
             "output-dir-is-file", "verify-check-fails",
-            "verify-memory-budget"])
+            "verify-memory-budget", "mass-nan", "p-infinity", "radius-nan",
+            "R-infinity"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import k1
 
 from scalarfield import kernels, operators
 from scalarfield.discretization import Field, build_grid
@@ -14,6 +18,40 @@ from scalarfield.operators import (HalfLineGreen, IterationLimitError,
 from scalarfield.solver import monotone_iterate
 
 from conftest import peak_allocation
+
+# a density with kinks at the knots 1 and 2, vanishing at r_max = 3
+KINKED = {"type": "radial_density", "radii": [0.0, 1.0, 2.0, 3.0],
+          "values": [1.0, 0.8, 0.3, 0.0]}
+
+
+def adaptive_radial_trace(N, grid, radii, values):
+    """Independent oracle for the radial Poisson trace: adaptive QUADPACK in
+    the boundary radius s (density knots and r_i as break points) and, for
+    N = 3, in the ring angle, with closed-form kernels and no absolute
+    tolerance."""
+    r_max = radii[-1]
+
+    def ring(lat2, z):          # the boundary kernel P at lateral distance^2
+        rho = math.sqrt(lat2 + z * z)
+        if N == 2:
+            return z * k1(rho) / (math.pi * rho)
+        return z * (1.0 + rho) * math.exp(-rho) / (2.0 * math.pi * rho ** 3)
+
+    def angular(r, s, z):       # integral of P over the ring of radius s
+        if N == 2:
+            return ring((r - s) ** 2, z) + ring((r + s) ** 2, z)
+        return 2.0 * s * quad(
+            lambda phi: ring((r - s * math.cos(phi)) ** 2
+                             + (s * math.sin(phi)) ** 2, z),
+            0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+    out = []
+    for r, z in zip(grid.radii, grid.heights):
+        breaks = sorted(b for b in {*radii, r} if 0.0 < b < r_max)
+        out.append(quad(lambda s: np.interp(s, radii, values) * angular(r, s, z),
+                        0.0, r_max, points=breaks or None, epsabs=0.0,
+                        epsrel=1e-12, limit=500)[0])
+    return np.array(out)
 
 
 class TestAssembly:
@@ -176,6 +214,37 @@ class TestPoissonTrace:
                               "radii": [0.0, 30.0], "values": [1.0, 1.0]})
         np.testing.assert_allclose(f.values, np.exp(-g.heights), atol=1e-3)
 
+    @pytest.mark.parametrize("N, shape", [(2, (6, 10)), (3, (5, 8))])
+    def test_radial_density_matches_adaptive_oracle(self, N, shape):
+        g = build_grid(N, 4.0, 4.0, *shape)
+        radii, values = KINKED["radii"], KINKED["values"]
+        assert np.any(np.isin(g.radii, radii[1:]))   # a node on a knot
+        oracle = adaptive_radial_trace(N, g, radii, values)
+        f = poisson_trace(g, KINKED)
+        np.testing.assert_allclose(f.values, oracle, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("N, shape", [(2, (6, 10)), (3, (5, 8))])
+    def test_one_poisson_P_call_per_block(self, monkeypatch, N, shape):
+        g = build_grid(N, 4.0, 4.0, *shape)
+        whole = poisson_trace(g, KINKED).values.tobytes()
+        kernel_values = []
+
+        def counted(N, x, z=None):
+            kernel_values.append(np.size(x) // N)
+            return poisson_P(N, x, z)
+
+        monkeypatch.setattr(operators, "poisson_P", counted)
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 2_000)
+        assert poisson_trace(g, KINKED).values.tobytes() == whole
+        # every call but the last is a full block, not a node or an angle
+        assert len(kernel_values) >= 2
+        assert all(1_000 < k <= 2_000 for k in kernel_values[:-1])
+
+    def test_trace_temporaries_are_bounded(self):
+        g = build_grid(3, 20.0, 20.0, 16, 24)
+        _, extra = peak_allocation(poisson_trace, g, KINKED)
+        assert extra <= 16 * 8 * operators._BLOCK_ENTRIES
+
     def test_invalid_measures(self, grid_line):
         with pytest.raises(ValueError):
             poisson_trace(grid_line, {"type": "point_mass", "mass": 0.0})
@@ -192,6 +261,12 @@ class TestPoissonTrace:
         with pytest.raises(ValueError):
             poisson_trace(g2, {"type": "point_mass", "mass": 1.0,
                                "location": [1.0]})
+        for radii, values in (([0.0, np.nan], [1.0, 1.0]),
+                              ([0.0, np.inf], [1.0, 1.0]),
+                              ([0.0, 1.0], [np.nan, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                poisson_trace(g2, {"type": "radial_density",
+                                   "radii": radii, "values": values})
 
 
 class TestLinearizedSpectrum:
