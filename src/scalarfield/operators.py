@@ -190,9 +190,10 @@ def gauss_panels(edges, order: int):
             (half * w).reshape(shape))
 
 
-def _lateral_sq(rho_x, rho_y, phi):
-    """|x' - y'|^2 for radii rho_x, rho_y at angle phi apart; no cancellation."""
-    return (rho_x - rho_y) ** 2 + 4.0 * rho_x * rho_y * np.sin(0.5 * phi) ** 2
+def _lateral_sq(gap, rho_x, rho_y, phi):
+    """|x' - y'|^2 for radii rho_x, rho_y at angle phi apart, given their
+    exact gap = +-(rho_x - rho_y); no cancellation."""
+    return gap ** 2 + 4.0 * rho_x * rho_y * np.sin(0.5 * phi) ** 2
 
 
 def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
@@ -209,7 +210,8 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
         return -0.5 * np.expm1(-2.0 * nearer) * np.exp(-np.abs(dz))
     phi, w_phi = (_PAIR if N == 2
                   else gauss_panels(np.array([0.0, np.pi]), n_angles))
-    lat2 = _lateral_sq(rho_x[..., None], rho_y[..., None], phi)
+    lat2 = _lateral_sq((rho_x - rho_y)[..., None], rho_x[..., None],
+                       rho_y[..., None], phi)
     direct = np.sqrt(lat2 + dz[..., None] ** 2)
     mirror = np.sqrt(lat2 + (z_x + z_y)[..., None] ** 2)
     vals = fundamental_E(N, direct) - fundamental_E(N, mirror)
@@ -396,25 +398,28 @@ def _doublings(near, far):
 
 def _radial_trace(grid: Grid, radii, values) -> np.ndarray:
     """P[mu] at every node for a radial density mu: composite Gauss-Legendre
-    in s with edges at the knots and clip(r_i +- (h_i/2) 2^k, 0, r_max),
-    h_i = min(z_i, 1) (P's pole distance, capped at its decay length), and,
-    for N = 3, in phi with edges 0, min((c/2) 2^k, pi), pi, where c is the
-    distance of the kernel's complex pole from phi = 0.  Zero-weight points
-    are dropped; a block of about _BLOCK_ENTRIES kernel values is one
-    poisson_P call."""
+    in the offset t = s - r_i with edges at the knots and
+    clip(+-(h_i/2) 2^k, -r_i, r_max - r_i), h_i = min(z_i, 1) (P's pole
+    distance, capped at its decay length), and, for N = 3, in phi with edges
+    0, min((c/2) 2^k, pi), pi, where c is the distance of the kernel's
+    complex pole from phi = 0.  In t the lateral gap r_i - s is exact
+    however far out r_i is.  Zero-weight points are dropped; a block of
+    about _BLOCK_ENTRIES kernel values is one poisson_P call."""
     N, n = grid.dimension, grid.n_nodes
     r, z, r_max = grid.radii[:, None], grid.heights[:, None], radii[-1]
     steps = _doublings(np.minimum(0.5 * z, 0.5),
                        np.maximum(r, np.abs(r_max - r)))
-    s, w = gauss_panels(np.sort(np.hstack([
-        np.broadcast_to(np.append(0.0, radii), (n, radii.size + 1)),
-        np.clip(r - steps, 0.0, r_max), np.clip(r + steps, 0.0, r_max)])),
+    t, w = gauss_panels(np.sort(np.hstack([
+        np.append(0.0, radii) - r,
+        np.clip(-steps, -r, r_max - r), np.clip(steps, -r, r_max - r)])),
         _TRACE_ORDER)
+    s = r + t
     # ring measure x average: 2 x pair mean, 2 pi s x (integral on (0, pi))/pi
     w *= np.interp(s, radii, values) * (2.0 if N == 2 else 2.0 * s)
     node, col = np.nonzero(w)
-    s, w, r, z = s[node, col], w[node, col], r[node, 0], z[node, 0]
-    c = np.sqrt(((r - s) ** 2 + z * z) / (r * s))
+    s, t, w = s[node, col], t[node, col], w[node, col]
+    r, z = r[node, 0], z[node, 0]
+    c = np.sqrt((t * t + z * z) / (r * s))
     angle_steps = _doublings(0.5, np.pi / c)
     ring = np.empty(s.size)
     block = max(1, _BLOCK_ENTRIES // (
@@ -424,7 +429,8 @@ def _radial_trace(grid: Grid, radii, values) -> np.ndarray:
         phi, w_phi = _PAIR if N == 2 else gauss_panels(np.pad(
             np.minimum(c[pairs, None] * angle_steps, np.pi), ((0, 0), (1, 1)),
             constant_values=(0.0, np.pi)), _TRACE_ORDER)
-        lat = np.sqrt(_lateral_sq(r[pairs, None], s[pairs, None], phi))
+        lat = np.sqrt(_lateral_sq(t[pairs, None], r[pairs, None],
+                                  s[pairs, None], phi))
         x = np.zeros(lat.shape + (N,))
         x[..., 0], x[..., -1] = lat, z[pairs, None]
         ring[pairs] = np.sum(poisson_P(N, x) * w_phi, axis=-1)

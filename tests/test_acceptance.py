@@ -152,7 +152,8 @@ def test_norm_bounds_and_sharpness():
         for N, q, alpha, r, beta in GLAA_TUPLES:
             rep = verify_glaa(N, q, alpha, r, beta)
             assert rep.passed, rep.details
-            assert rep.details["sharpness_fit_error"] <= 0.10
+            assert rep.details["sharpness_fit_error"] \
+                <= (1e-6 if N == 1 else 1e-3)
 
 
 def test_exponent_arithmetic():

@@ -1,6 +1,10 @@
-"""Every package module uses each name it imports."""
+"""Every package module uses each name it imports, and the CLI imports
+no SciPy subpackage it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,14 @@ def test_unused_imports_are_found():
     path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_cli_loads_no_quadrature_or_solver_subpackages():
+    # scipy.integrate alone pulls in scipy.optimize, scipy.sparse and more
+    probe = ("import sys, scalarfield.cli; print(' '.join(m for m in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -223,6 +223,19 @@ class TestPoissonTrace:
         f = poisson_trace(g, KINKED)
         np.testing.assert_allclose(f.values, oracle, rtol=1e-10, atol=0.0)
 
+    def test_far_out_nodes_converge_in_panel_order(self, monkeypatch):
+        # at r ~ 16-19, z = 1.6e-4 the panels are ~1e-4 wide; absolute s
+        # nodes would carry ulp(r) round-off into r - s (4-8e-13 here)
+        g = build_grid(2, 20.0, 20.0, 8, 40, 3.0)
+        uniform = {"type": "radial_density", "radii": [0.0, 30.0],
+                   "values": [1.0, 1.0]}
+        low = poisson_trace(g, uniform).values
+        monkeypatch.setattr(operators, "_TRACE_ORDER", 30)
+        high = poisson_trace(g, uniform).values
+        far = (g.radii > 15.0) & (g.heights == g.heights.min())
+        assert np.count_nonzero(far) == 2
+        np.testing.assert_allclose(low[far], high[far], rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("N, shape", [(2, (6, 10)), (3, (5, 8))])
     def test_one_poisson_P_call_per_block(self, monkeypatch, N, shape):
         g = build_grid(N, 4.0, 4.0, *shape)

@@ -7,6 +7,7 @@ from scipy import special
 
 from scalarfield import verify
 from scalarfield.discretization import build_grid
+from scalarfield.kernels import fundamental_E
 from scalarfield.verify import (verify_gintest_scaling, verify_glaa,
                                 verify_kernel_identities,
                                 verify_solution_structure)
@@ -24,6 +25,23 @@ class TestKernelIdentities:
         rep = verify_kernel_identities(g)
         assert rep.passed
         assert rep.details["symmetry_relative_error"] <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_boundary_integrals_at_round_off(self, N):
+        rep = verify_kernel_identities(build_grid(N, 8.0, 8.0, 6, 10))
+        assert rep.passed
+        assert rep.details["poisson_mass_error"] <= 1e-12
+        assert rep.details["stacking_error"] <= 1e-12
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_perturbed_boundary_kernel_fails(self, monkeypatch, N):
+        poisson_P = verify.poisson_P
+        monkeypatch.setattr(verify, "poisson_P", lambda *args:
+                            (1.0 + 1e-9) * poisson_P(*args))
+        rep = verify_kernel_identities(build_grid(N, 8.0, 8.0, 6, 10))
+        assert not rep.passed
+        assert rep.details["poisson_mass_error"] > 1e-12
+        assert rep.details["stacking_error"] > 1e-12
 
     def test_deterministic_for_fixed_seed(self, grid_line):
         a = verify_kernel_identities(grid_line, seed=4)
@@ -102,12 +120,54 @@ class TestGintestScaling:
             verify_gintest_scaling(3, 4.0, -1.0)
 
 
+def _heavy_mirror_green(N, x, y):
+    """green_G with its mirror term scaled by 1.01."""
+    x = np.asarray(x, dtype=float).reshape(-1 if N == 1 else N)
+    y = np.asarray(y, dtype=float)
+    if N == 1:
+        return (fundamental_E(1, np.abs(x - y))
+                - 1.01 * fundamental_E(1, x + y))
+    mirror = x * np.append(np.ones(N - 1), -1.0)
+    return (fundamental_E(N, np.linalg.norm(x - y, axis=-1))
+            - 1.01 * fundamental_E(N, np.linalg.norm(mirror - y, axis=-1)))
+
+
 class TestGlaa:
     def test_half_line_pair(self):
         rep = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
         assert rep.passed
-        assert rep.details["refinement_growth"] < 0.10
-        assert rep.details["sharpness_fit_error"] <= 0.10
+        assert abs(rep.details["refinement_growth"]) < 0.10
+        assert rep.details["sharpness_fit_error"] <= 1e-6
+
+    @pytest.mark.parametrize("N, tol", [(1, 1e-6), (2, 1e-3), (3, 1e-3)])
+    def test_borderline_integral_diverges_at_predicted_rate(self, N, tol):
+        for sigma in (0.6, 0.8):
+            assert verify._sharpness_fit_error(N, sigma) <= tol
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_heavy_mirror_term_breaks_sharpness(self, monkeypatch, N):
+        monkeypatch.setattr(verify, "green_G", _heavy_mirror_green)
+        assert verify._sharpness_fit_error(N, 0.6) > 0.10
+
+    def test_heavy_mirror_term_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "green_G", _heavy_mirror_green)
+        rep = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
+        assert not rep.passed
+        assert rep.details["sharpness_fit_error"] > 0.10
+
+    @pytest.mark.parametrize("coarse, fine, passed", [
+        (1.0, 0.5, False),          # the ratio collapses under refinement
+        (1.0, 1.5, False),
+        (1.0, 0.95, True),
+        (1.0, 1.05, True)])
+    def test_refinement_check_is_two_sided(self, monkeypatch, coarse, fine,
+                                           passed):
+        ratios = iter([coarse, fine])
+        monkeypatch.setattr(verify, "_norm_ratio_max",
+                            lambda *args: next(ratios))
+        rep = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
+        assert rep.passed is passed
+        assert rep.details["refinement_growth"] == pytest.approx(fine - 1.0)
 
     def test_invalid_exponent_pair_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
