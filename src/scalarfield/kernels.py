@@ -18,8 +18,10 @@ distances equal rho there and the chain-rule factors add up to -2 x_N / rho.)
 For N = 1 this collapses to P(x) = exp(-x); for N = 3 to
 x_N (1 + rho) exp(-rho) / (2 pi rho^3).
 
-K0/K1 come from scipy.special; the tests check them independently, against
-the Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
+Only N = 2 needs a special function: K0/K1 come from scipy.special, which
+`bessel_k0`/`bessel_k1` import on their first call, so an N = 1 or N = 3
+command never loads it.  The tests check them independently, against the
+Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,16 @@ class HalfSpacePoint:
 
 
 # Keep these names: fundamental_E/dE call them, and perfbench wraps them here.
-bessel_k0 = special.k0
-bessel_k1 = special.k1
+def bessel_k0(x):
+    """Modified Bessel function K0, elementwise."""
+    from scipy import special
+    return special.k0(x)
+
+
+def bessel_k1(x):
+    """Modified Bessel function K1, elementwise."""
+    from scipy import special
+    return special.k1(x)
 
 
 _TWO_PI = 2.0 * np.pi

@@ -4,10 +4,10 @@ The Green operator carries the quadrature weights, so applying it is one
 `matvec`.  For N = 2, 3 it is a dense matrix: each column represents a
 mirror pair or a full ring of sources, and the entry carries the pair/ring
 average of the kernel.  For N = 1 it is exact and O(n): the sampled kernel
-is semiseparable, and its inverse is tridiagonal in closed form
-(`HalfLineGreen`).  Either way the singular quadrature diagonal averages the
-kernel over sub-points of the cell instead of evaluating it at the
-(coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
+is semiseparable, so a product is two cumulative sums, and its inverse is
+tridiagonal in closed form (`HalfLineGreen`).  Either way the singular
+quadrature diagonal averages the kernel over sub-points of the cell instead
+of evaluating it at the (coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
 slab per lateral offset, since on the uniform lateral grid a pair average
 depends on the two columns only through their offsets; N = 3 (and the dense
 N = 1 reference) is evaluated row block by row block.  A mirror pair is
@@ -15,7 +15,8 @@ the two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
 Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
 default grids; no adaptive quadrature is left in this module.  `lu_factor` /
 `lu_solve` are the package's only factorization of the Jacobian `jacobian`
-returns for either operator.
+returns for either operator; they load LAPACK from SciPy on their first
+call, so a command that factorizes nothing imports no `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .discretization import Field, Grid
 from .kernels import fundamental_E, poisson_P
@@ -38,6 +38,9 @@ HALF_LINE_VECTORS = 64
 _BLOCK_ENTRIES = 500_000
 # columns per block when jacobian writes its Fortran-ordered J
 _JACOBIAN_COLUMNS = 64
+# largest height span of one chunk of the N = 1 matvec: its scaled
+# exponentials stay within e^{+-300}, far inside float64's e^{+-709}
+_CHUNK_SPAN = 300.0
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
@@ -93,6 +96,7 @@ class KernelMatrix:
 
 def _tridiagonal_factors(lower, diag, upper):
     """LAPACK gttrf factors of a tridiagonal matrix; overwrites its bands."""
+    from scipy.linalg.lapack import dgttrf
     if diag.size == 2:
         # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit row
         lower, upper = np.append(lower, 0.0), np.append(upper, 0.0)
@@ -103,10 +107,20 @@ def _tridiagonal_factors(lower, diag, upper):
 
 
 def _tridiagonal_solve(factors, b, trans="N"):
+    from scipy.linalg.lapack import dgttrs
     n = b.size
     if factors[1].size > n:
         return dgttrs(*factors, np.append(b, 0.0), trans=trans)[0][:n]
     return dgttrs(*factors, b, trans=trans)[0]
+
+
+def _carried_cumsum(v: np.ndarray, chunks) -> None:
+    """Cumulative sum of v in place, chunk by chunk: a chunk (lo, hi, carry)
+    starts from carry times the previous chunk's last sum."""
+    for lo, hi, carry in chunks:
+        if lo:
+            v[lo] += carry * v[lo - 1]
+        np.add.accumulate(v[lo:hi], out=v[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -115,23 +129,47 @@ class HalfLineGreen:
 
     S_ij = sinh(z_min) e^{-z_max} samples the half-line Green kernel and W
     holds the quadrature weights; c moves the diagonal from S_ii to the
-    sub-cell average.  S is semiseparable, so T = S^{-1} is tridiagonal:
+    sub-cell average.  S is semiseparable: with a = sinh(z) e^{-z} and
+    y = W x,
+
+        K x = L + a V + (c - a) y,
+        L = e^{-z} cumsum(e^{z} a y),   V = e^{z} revcumsum(e^{-z} y),
+
+    both sums including j = i, so a product is two cumulative sums.  Each
+    exponent is taken relative to its chunk's first (L) or last (V) height;
+    chunks span at most _CHUNK_SPAN in height and carry their last sum on
+    to the next, so nothing overflows at any height.  The scaled weights
+    are built once, when the operator is assembled.
+
+    S^{-1} = T is tridiagonal, which gives the Jacobians:
     T_{i,i+1} = -1/sinh(z_{i+1} - z_i) and
     T_ii = coth(z_i - z_{i-1}) + coth(z_{i+1} - z_i), with z_0 = 0 and the
-    last coth (of an infinite difference) equal to 1.  Only height
-    differences enter, so nothing overflows at any height.  A product S y is
-    one solve with T's factors.
+    last coth (of an infinite difference) equal to 1.
     """
 
     grid: Grid
     t_diag: np.ndarray
     t_off: np.ndarray           # T_{i,i+1} = T_{i+1,i}
     correction: np.ndarray      # c = sub-cell average - S_ii
-    t_factors: tuple            # gttrf factors of T
+    l_in: np.ndarray            # e^{z - z_first} a w
+    l_out: np.ndarray           # e^{z_first - z}
+    v_in: np.ndarray            # e^{z_last - z} w
+    v_out: np.ndarray           # a e^{z - z_last}
+    diag_weights: np.ndarray    # (c - a) w
+    l_chunks: tuple             # (lo, hi, carry) from the bottom up
+    v_chunks: tuple             # the same from the top down, reversed indices
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.grid.quad_weights * x
-        return _tridiagonal_solve(self.t_factors, y) + self.correction * y
+        out = self.l_in * x
+        _carried_cumsum(out, self.l_chunks)
+        out *= self.l_out
+        high = self.v_in * x
+        _carried_cumsum(high[::-1], self.v_chunks)
+        high *= self.v_out
+        out += high
+        np.multiply(self.diag_weights, x, out=high)
+        out += high
+        return out
 
     def t_times(self, b: np.ndarray) -> np.ndarray:
         out = self.t_diag * b
@@ -264,16 +302,35 @@ def _cell_average(N: int, rho, z, cell_sizes):
 
 
 def _half_line_green(grid: Grid) -> HalfLineGreen:
-    z = grid.heights
+    z, w = grid.heights, grid.quad_weights
     gaps = np.diff(z, prepend=0.0)              # z_i - z_{i-1}, z_0 = 0
     coth = 1.0 / np.tanh(gaps)
     t_diag = coth + np.append(coth[1:], 1.0)
     t_off = -1.0 / np.sinh(gaps[1:])
-    s_diag = -0.5 * np.expm1(-2.0 * z)          # sinh(z) e^{-z}
-    correction = _cell_average(1, None, z, grid.cell_sizes) - s_diag
-    factors = _tridiagonal_factors(t_off.copy(), t_diag.copy(), t_off.copy())
-    return HalfLineGreen(grid=grid, t_diag=t_diag, t_off=t_off,
-                         correction=correction, t_factors=factors)
+    a = -0.5 * np.expm1(-2.0 * z)               # sinh(z) e^{-z} = S_ii
+    correction = _cell_average(1, None, z, grid.cell_sizes) - a
+    # chunk edges: each chunk spans at most _CHUNK_SPAN in height
+    edges = [0]
+    while edges[-1] < z.size:
+        edges.append(int(np.searchsorted(z, z[edges[-1]] + _CHUNK_SPAN,
+                                         "right")))
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    first, last = z[lo], z[hi - 1]
+    chunk = np.repeat(np.arange(lo.size), hi - lo)
+    # a chunk's carry moves the previous sum into its own exponent frame
+    l_carry = np.exp(-np.diff(first, prepend=first[0]))
+    v_carry = np.exp(-np.diff(last, append=last[-1]))
+    n = z.size
+    return HalfLineGreen(
+        grid=grid, t_diag=t_diag, t_off=t_off, correction=correction,
+        l_in=np.exp(z - first[chunk]) * a * w,
+        l_out=np.exp(first[chunk] - z),
+        v_in=np.exp(last[chunk] - z) * w,
+        v_out=a * np.exp(z - last[chunk]),
+        diag_weights=(correction - a) * w,
+        l_chunks=tuple(zip(lo.tolist(), hi.tolist(), l_carry.tolist())),
+        v_chunks=tuple(zip((n - hi).tolist(), (n - lo).tolist(),
+                           v_carry.tolist()))[::-1])
 
 
 def assemble_green(grid: Grid) -> GreenOperator:
@@ -531,6 +588,7 @@ def lu_factor(J):
     if isinstance(J, TridiagonalJacobian):
         return _TridiagonalLU(J.green, _tridiagonal_factors(J.lower, J.diag,
                                                             J.upper))
+    from scipy.linalg.lapack import dgetrf
     lu, piv, _ = dgetrf(J, overwrite_a=1)
     return lu, piv
 
@@ -539,6 +597,7 @@ def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve J x = b (trans=0) or J^T x = b (trans=1) with lu_factor's result."""
     if isinstance(lu, _TridiagonalLU):
         return lu.solve(b, trans)
+    from scipy.linalg.lapack import dgetrs
     return dgetrs(*lu, b, trans=trans)[0]
 
 

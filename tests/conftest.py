@@ -39,7 +39,13 @@ def soliton(heights, kappa, p=3.0):
 
 def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
-    counted by tracemalloc, which sees every NumPy buffer."""
+    counted by tracemalloc, which sees every NumPy buffer.
+
+    scalarfield imports scipy.special and scipy.linalg on first use; they
+    are imported here first, so their one-time module state is not counted
+    as arrays the call holds."""
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -394,9 +394,25 @@ class TestHalfLineBackend:
     def test_matvec(self, half_line):
         g, K, dense, _ = half_line
         assert isinstance(K, HalfLineGreen)
-        x = np.random.default_rng(5).uniform(-1.0, 1.0, g.n_nodes)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, g.n_nodes)
         ref = dense.matvec(x)
-        assert np.max(np.abs(K.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(K.matvec(x) - ref)) <= 2e-14 * np.max(np.abs(ref))
+        # a positive vector has positive products: each row to round-off
+        x = rng.uniform(0.0, 1.0, g.n_nodes)
+        ref = dense.matvec(x)
+        assert np.max(np.abs(K.matvec(x) / ref - 1.0)) <= 5e-14
+
+    def test_matvec_carries_between_chunks(self):
+        # H = 3000 spans about ten chunks of operators._CHUNK_SPAN heights
+        g = build_grid(1, 3000.0, 3000.0, 1, 2000)
+        K = assemble_green(g)
+        assert len(K.l_chunks) == len(K.v_chunks) >= 10
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, g.n_nodes)
+        ref = _assemble_dense(g).matvec(x)
+        got = K.matvec(x)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("trans", [0, 1])
     def test_jacobian_solves(self, half_line, trans):

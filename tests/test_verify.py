@@ -113,6 +113,13 @@ class TestGintestScaling:
         # the slope the adaptive quadrature gave before the fixed rule
         assert rep.statistic == pytest.approx(0.494942, abs=1e-6)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_s1_slope_is_the_half_line_slope(self, N):
+        # at s = 1 the lateral integral reduces G_N to G_1, so every N
+        # fits the N = 1 slope of test_one_green_call_per_height
+        rep = verify_gintest_scaling(N, 1.0, -1.5)
+        assert rep.statistic == pytest.approx(0.494942, abs=1e-6)
+
     def test_inadmissible_exponents_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
             verify_gintest_scaling(1, 1.0, 0.5)
@@ -139,15 +146,26 @@ class TestGlaa:
         assert abs(rep.details["refinement_growth"]) < 0.10
         assert rep.details["sharpness_fit_error"] <= 1e-6
 
-    @pytest.mark.parametrize("N, tol", [(1, 1e-6), (2, 1e-3), (3, 1e-3)])
+    @pytest.mark.parametrize("N, tol", [(1, 1e-6), (2, 1e-6), (3, 1e-6)])
     def test_borderline_integral_diverges_at_predicted_rate(self, N, tol):
+        borderline = verify._borderline_rule(N)
         for sigma in (0.6, 0.8):
-            assert verify._sharpness_fit_error(N, sigma) <= tol
+            assert verify._sharpness_fit_error(sigma, borderline) <= tol
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_heavy_mirror_term_breaks_sharpness(self, monkeypatch, N):
         monkeypatch.setattr(verify, "green_G", _heavy_mirror_green)
-        assert verify._sharpness_fit_error(N, 0.6) > 0.10
+        borderline = verify._borderline_rule(N)
+        assert verify._sharpness_fit_error(0.6, borderline) > 0.10
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_lateral_integral_is_the_half_line_kernel(self, N):
+        # integrating G_N(e_N, .) over y' leaves G_1(1, y_N) = e^-1 sinh y_N;
+        # green_G's own cancellation at y_N = 1e-8 sets a ~1e-8 floor
+        y = np.geomspace(1e-8, 0.9, 40)
+        lateral = verify._lateral_green(N, 1.0, y, 1.0)
+        np.testing.assert_allclose(lateral, np.exp(-1.0) * np.sinh(y),
+                                   rtol=1e-7)
 
     def test_heavy_mirror_term_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(verify, "green_G", _heavy_mirror_green)
