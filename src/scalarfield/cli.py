@@ -188,8 +188,15 @@ def _write_summary(out_dir, command, cfg, results):
 
 
 def _write_csv(path, columns, header, fmt=FLOAT_FMT):
-    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
-               header=header, comments="")
+    """The bytes np.savetxt writes with comments="", formatted by one `%`
+    over the whole table instead of one per row; fmt is one format or one
+    per column."""
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    row = ",".join([fmt] * cols if isinstance(fmt, str) else fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write(row * rows % tuple(table.ravel().tolist()))
 
 
 def _write_solution_csv(out_dir, grid, values, kappa):

@@ -21,6 +21,7 @@ call, so a command that factorizes nothing imports no `scipy.linalg`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,17 +130,20 @@ class HalfLineGreen:
 
     S_ij = sinh(z_min) e^{-z_max} samples the half-line Green kernel and W
     holds the quadrature weights; c moves the diagonal from S_ii to the
-    sub-cell average.  S is semiseparable: with a = sinh(z) e^{-z} and
-    y = W x,
+    sub-cell average s = S_ii + c.  S is semiseparable: with
+    a = sinh(z) e^{-z} and y = W x,
 
-        K x = L + a V + (c - a) y,
+        K x = L + a V + s y,
         L = e^{-z} cumsum(e^{z} a y),   V = e^{z} revcumsum(e^{-z} y),
 
-    both sums including j = i, so a product is two cumulative sums.  Each
-    exponent is taken relative to its chunk's first (L) or last (V) height;
-    chunks span at most _CHUNK_SPAN in height and carry their last sum on
-    to the next, so nothing overflows at any height.  The scaled weights
-    are built once, when the operator is assembled.
+    both sums excluding j = i (exclusive scans: each sum's input is shifted
+    by one node), so a product is two cumulative sums and the diagonal is
+    added, not corrected by a difference that cancels in wide cells.  Each
+    term's exponent is taken relative to the first (L) or last (V) height
+    of the chunk its scan position lies in; chunks span at most _CHUNK_SPAN
+    in height and carry their last sum on to the next, so nothing overflows
+    at any height.  The scaled weights are built once, when the operator is
+    assembled.
 
     S^{-1} = T is tridiagonal, which gives the Jacobians:
     T_{i,i+1} = -1/sinh(z_{i+1} - z_i) and
@@ -151,19 +155,23 @@ class HalfLineGreen:
     t_diag: np.ndarray
     t_off: np.ndarray           # T_{i,i+1} = T_{i+1,i}
     correction: np.ndarray      # c = sub-cell average - S_ii
-    l_in: np.ndarray            # e^{z - z_first} a w
+    l_in: np.ndarray            # e^{z_{i-1} - z_first} a_{i-1} w_{i-1}, i >= 1
     l_out: np.ndarray           # e^{z_first - z}
-    v_in: np.ndarray            # e^{z_last - z} w
+    v_in: np.ndarray            # e^{z_last - z_{i+1}} w_{i+1}, i < n - 1
     v_out: np.ndarray           # a e^{z - z_last}
-    diag_weights: np.ndarray    # (c - a) w
+    diag_weights: np.ndarray    # s w
     l_chunks: tuple             # (lo, hi, carry) from the bottom up
     v_chunks: tuple             # the same from the top down, reversed indices
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = self.l_in * x
+        out = np.empty(x.shape)
+        out[0] = 0.0
+        np.multiply(self.l_in, x[:-1], out=out[1:])
         _carried_cumsum(out, self.l_chunks)
         out *= self.l_out
-        high = self.v_in * x
+        high = np.empty(x.shape)
+        high[-1] = 0.0
+        np.multiply(self.v_in, x[1:], out=high[:-1])
         _carried_cumsum(high[::-1], self.v_chunks)
         high *= self.v_out
         out += high
@@ -218,10 +226,19 @@ class _TridiagonalLU:
 GreenOperator = KernelMatrix | HalfLineGreen
 
 
+@functools.cache
+def _gauss_legendre(order: int):
+    """The order-point Gauss-Legendre rule on (-1, 1), computed once per
+    order and shared, so its arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, order: int):
     """Composite order-point Gauss-Legendre nodes and weights on the panels
     between consecutive edges (last axis); zero-width panels add nothing."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     half = 0.5 * np.diff(edges, axis=-1)[..., None]
     shape = np.shape(edges)[:-1] + (-1,)
     return ((edges[..., :-1, None] + half * (x + 1.0)).reshape(shape),
@@ -308,7 +325,7 @@ def _half_line_green(grid: Grid) -> HalfLineGreen:
     t_diag = coth + np.append(coth[1:], 1.0)
     t_off = -1.0 / np.sinh(gaps[1:])
     a = -0.5 * np.expm1(-2.0 * z)               # sinh(z) e^{-z} = S_ii
-    correction = _cell_average(1, None, z, grid.cell_sizes) - a
+    cell = _cell_average(1, None, z, grid.cell_sizes)
     # chunk edges: each chunk spans at most _CHUNK_SPAN in height
     edges = [0]
     while edges[-1] < z.size:
@@ -322,12 +339,14 @@ def _half_line_green(grid: Grid) -> HalfLineGreen:
     v_carry = np.exp(-np.diff(last, append=last[-1]))
     n = z.size
     return HalfLineGreen(
-        grid=grid, t_diag=t_diag, t_off=t_off, correction=correction,
-        l_in=np.exp(z - first[chunk]) * a * w,
+        grid=grid, t_diag=t_diag, t_off=t_off, correction=cell - a,
+        # scan position i holds node i - 1 (L) or i + 1 (V), scaled in the
+        # frame of position i's chunk
+        l_in=np.exp(z[:-1] - first[chunk[1:]]) * (a * w)[:-1],
         l_out=np.exp(first[chunk] - z),
-        v_in=np.exp(last[chunk] - z) * w,
+        v_in=np.exp(last[chunk[:-1]] - z[1:]) * w[1:],
         v_out=a * np.exp(z - last[chunk]),
-        diag_weights=(correction - a) * w,
+        diag_weights=cell * w,
         l_chunks=tuple(zip(lo.tolist(), hi.tolist(), l_carry.tolist())),
         v_chunks=tuple(zip((n - hi).tolist(), (n - lo).tolist(),
                            v_carry.tolist()))[::-1])

@@ -5,6 +5,9 @@ U_0 = Pmu the iterates converge to the minimal solution when one exists
 and blow up otherwise, which is what the threshold bisection keys on.
 The sup increment |U_{j+1} - U_j| equals the fixed-point residual of U_j,
 so the stopping rule controls the true residual of the returned iterate.
+A bisection probe need not wait for that rule: a discrete supersolution
+above nondecreasing iterates proves that a solution exists (the
+sub/supersolution principle), so each probe stops once it finds one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from .discretization import Field
 from .operators import GreenOperator, jacobian, lu_factor, lu_solve
 
 _DIVERGENCE_STREAK = 20
+# a kappa* probe looks for a supersolution certificate every this many steps,
+# widening its candidate by this share of the candidate's rise above U_j
+_CERTIFY_EVERY = 8
+_CERTIFY_MARGIN = 0.01
 _NEWTON_TOL = 1e-12
 _NEWTON_ITERS = 50
 
@@ -52,6 +59,27 @@ def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
                      tol: float = 1e-8, max_iter: int = 100_000,
                      blowup_cap: float = 1e6) -> SolveResult:
     """Iterate the fixed-point map from U_0 = Pmu until convergence or blow-up."""
+    status, last, iterations, increments = _iterate(
+        kappa, K, Pmu, p, tol=tol, max_iter=max_iter, blowup_cap=blowup_cap,
+        certify=False)
+    if status == "diverged":
+        solution, residual = None, np.inf
+    else:
+        solution = Field(K.grid, last)
+        residual = (float(np.max(np.abs(psi_map(last, kappa, K, Pmu, p) - last)))
+                    if status == "converged" else increments[-1])
+    return SolveResult(status=status, solution=solution, iterations=iterations,
+                       residual_sup=residual, increments=np.array(increments))
+
+
+def _iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float, *,
+             tol: float, max_iter: int, blowup_cap: float, certify: bool):
+    """The monotone iteration U_{j+1} = Psi(U_j) from U_0 = Pmu.
+
+    Returns (status, last iterate, iterations, sup increments).  With
+    `certify`, every _CERTIFY_EVERY steps it also tries to stop early with
+    status "certified" (see `_is_supersolution_step`).
+    """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if tol <= 0.0 or max_iter < 1 or blowup_cap <= 0.0:
@@ -59,10 +87,10 @@ def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
     u = Pmu.values.copy()
     increments = []
     growth_streak = 0
-    status = "iteration_limit"
     for it in range(1, max_iter + 1):
         nxt = psi_map(u, kappa, K, Pmu, p)
-        inc = float(np.max(np.abs(nxt - u)))
+        step = nxt - u
+        inc = float(np.max(np.abs(step)))
         increments.append(inc)
         sup = float(np.max(nxt))
         if len(increments) >= 2 and inc > increments[-2]:
@@ -71,20 +99,34 @@ def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
             growth_streak = 0
         if (not np.isfinite(sup) or sup > blowup_cap
                 or growth_streak >= _DIVERGENCE_STREAK):
-            status = "diverged"
-            break
+            return "diverged", nxt, it, increments
         if inc <= tol * sup:
-            status = "converged"
-            break
+            return "converged", nxt, it, increments
+        if (certify and it % _CERTIFY_EVERY == 0
+                and _is_supersolution_step(u, nxt, step, increments,
+                                           kappa, K, Pmu, p)):
+            return "certified", nxt, it, increments
         u = nxt
-    if status == "diverged":
-        solution, residual = None, np.inf
-    else:
-        solution = Field(K.grid, nxt)
-        residual = (float(np.max(np.abs(psi_map(nxt, kappa, K, Pmu, p) - nxt)))
-                    if status == "converged" else increments[-1])
-    return SolveResult(status=status, solution=solution, iterations=it,
-                       residual_sup=residual, increments=np.array(increments))
+    return "iteration_limit", nxt, max_iter, increments
+
+
+def _is_supersolution_step(u, nxt, step, increments, kappa, K, Pmu, p) -> bool:
+    """Whether the step U_j = u -> U_{j+1} = nxt proves a fixed point exists.
+
+    Psi preserves order (K >= 0 entrywise, v -> v_+^p nondecreasing).  So if
+    the step d = U_{j+1} - U_j is >= 0, the iterates from U_j on are
+    nondecreasing, and if some w >= U_{j+1} has Psi(w) <= w, they stay below
+    w and converge.  The candidate extrapolates the shrinking increments,
+    ratio r < 1, as a geometric series, w = U_{j+1} + r/(1-r) d, widened by
+    _CERTIFY_MARGIN of its rise above U_j; Psi(w) <= w is checked with no
+    slack, at the cost of one psi_map call.
+    """
+    if not (increments[-1] < increments[-2] and np.all(step >= 0.0)):
+        return False
+    r = increments[-1] / increments[-2]
+    w = nxt + (r / (1.0 - r)) * step
+    w += _CERTIFY_MARGIN * (w - u)
+    return bool(np.all(psi_map(w, kappa, K, Pmu, p) <= w))
 
 
 def newton_refine(u0: Field, kappa: float, K: GreenOperator, Pmu: Field,
@@ -132,13 +174,16 @@ class KappaStarEstimate:
 
 def _classify(kappa: float, K: GreenOperator, Pmu: Field, p: float,
               tol: float, max_iter: int, blowup_cap: float) -> str:
-    result = monotone_iterate(kappa, K, Pmu, p, tol=tol, max_iter=max_iter,
-                              blowup_cap=blowup_cap)
-    if result.status != "iteration_limit":
-        return result.status
+    status, _, _, increments = _iterate(kappa, K, Pmu, p, tol=tol,
+                                        max_iter=max_iter,
+                                        blowup_cap=blowup_cap, certify=True)
+    if status == "certified":
+        return "converged"
+    if status != "iteration_limit":
+        return status
     # very slow dynamics near the threshold: a contracting increment tail
     # means the iteration is still headed for a fixed point
-    tail = result.increments[-10:]
+    tail = np.array(increments[-10:])
     ratio = float(np.mean(tail[1:] / tail[:-1]))
     return "converged" if ratio < 1.0 else "diverged"
 

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import scalarfield
 from scalarfield import cli, operators
 from scalarfield.cli import (BRANCH_CSV_HEADER, OUTPUT_DIR_ENV, ConfigError,
                              load_config, run_command)
+from scalarfield.discretization import build_grid
 from scalarfield.operators import IterationLimitError, assemble_green
 from scalarfield.solver import KappaStarEstimate, NearFoldError
 from scalarfield.verify import CheckReport
@@ -203,6 +205,38 @@ def _failing_check(*args, **kwargs):
 
 def _no_grid(*args, **kwargs):
     raise AssertionError("the grid was built before the budget check")
+
+
+class TestCsvLayouts:
+    """_write_csv writes the bytes np.savetxt wrote for each layout."""
+
+    @staticmethod
+    def _assert_savetxt_bytes(tmp_path, columns, header, fmt=cli.FLOAT_FMT):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "savetxt.csv"
+        cli._write_csv(str(ours), columns, header, fmt=fmt)
+        np.savetxt(str(ref), np.column_stack(columns), fmt=fmt,
+                   delimiter=",", header=header, comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_half_line_solution(self, tmp_path):
+        g = build_grid(1, 20.0, 20.0, 1, 2000)
+        values = np.sqrt(2.0) / np.cosh(g.heights + 0.3)
+        values[::7] *= -1e-300
+        self._assert_savetxt_bytes(tmp_path, (g.heights, values),
+                                   "height,value")
+
+    def test_dense_solution(self, tmp_path):
+        g = build_grid(2, 12.0, 12.0, 10, 30)
+        values = np.random.default_rng(3).lognormal(0.0, 20.0, g.n_nodes)
+        self._assert_savetxt_bytes(tmp_path, (g.radii, g.heights, values),
+                                   "radius,height,value")
+
+    def test_branch(self, tmp_path):
+        rng = np.random.default_rng(4)
+        columns = ([np.arange(40)] + [rng.normal(size=40) for _ in range(5)]
+                   + [rng.uniform(size=40) < 0.1])
+        self._assert_savetxt_bytes(tmp_path, columns, BRANCH_CSV_HEADER,
+                                   fmt=["%d"] + [cli.FLOAT_FMT] * 5 + ["%d"])
 
 
 class TestExitCodes:

@@ -185,6 +185,25 @@ class TestApply:
             apply_green(K_line, Field(other, np.ones(64)))
 
 
+def test_gauss_legendre_rules_are_cached_read_only():
+    for order in (12, 32):
+        x, w = operators._gauss_legendre(order)
+        again = operators._gauss_legendre(order)
+        ref = np.polynomial.legendre.leggauss(order)
+        for got, repeat, exact in zip((x, w), again, ref):
+            np.testing.assert_array_equal(repeat, got)
+            np.testing.assert_array_equal(got, exact)
+            assert not got.flags.writeable and not repeat.flags.writeable
+    # the composite rule is unchanged, bit for bit
+    edges = np.array([[0.0, 0.5, 2.0], [1.0, 1.0, 3.0]])
+    t, wt = operators.gauss_panels(edges, 12)
+    x, w = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * np.diff(edges)[..., None]
+    np.testing.assert_array_equal(
+        t, (edges[:, :-1, None] + half * (x + 1.0)).reshape(2, -1))
+    np.testing.assert_array_equal(wt, (half * w).reshape(2, -1))
+
+
 class TestPoissonTrace:
     def test_half_line_exact(self, grid_line):
         f = poisson_trace(grid_line, {"type": "point_mass", "mass": 1.0})
@@ -391,8 +410,8 @@ def half_line(request):
 class TestHalfLineBackend:
     """The O(n) N = 1 operator against the dense matrix, its reference."""
 
-    def test_matvec(self, half_line):
-        g, K, dense, _ = half_line
+    @staticmethod
+    def _check_matvec(g, K, dense):
         assert isinstance(K, HalfLineGreen)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, g.n_nodes)
@@ -402,6 +421,21 @@ class TestHalfLineBackend:
         x = rng.uniform(0.0, 1.0, g.n_nodes)
         ref = dense.matvec(x)
         assert np.max(np.abs(K.matvec(x) / ref - 1.0)) <= 5e-14
+
+    def test_matvec(self, half_line):
+        g, K, dense, _ = half_line
+        self._check_matvec(g, K, dense)
+
+    # cells much wider than the kernel's decay length 1: the sub-cell
+    # average is far below S_ii, so it must be added, not reached as S_ii
+    # plus a correction
+    @pytest.mark.parametrize("H, n", [(5000.0, 2), (900.0, 7)],
+                             ids=["5000-2", "900-7"])
+    def test_matvec_wide_cells(self, H, n):
+        g = build_grid(1, H, H, 1, n, grading=1.0)
+        with np.errstate(over="ignore"):     # sinh of a gap of 2500
+            K = assemble_green(g)
+        self._check_matvec(g, K, _assemble_dense(g))
 
     def test_matvec_carries_between_chunks(self):
         # H = 3000 spans about ten chunks of operators._CHUNK_SPAN heights

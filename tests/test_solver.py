@@ -149,20 +149,21 @@ class TestKappaStar:
         assert est.lower <= np.sqrt(2.0) / 2.0 <= est.upper
 
     # at 200 the probe at 1.4140625 reaches the cap and the increment tail
-    # classifies it; at 2000 it converges after 546 iterations
+    # classifies it; at 2000 a supersolution certificate stops it first
     @pytest.mark.parametrize("max_iter", [200, 2000])
     def test_one_monotone_run_per_evaluation(self, K_line, Pmu_line,
                                              monkeypatch, max_iter):
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["max_iter"])
-            return monotone_iterate(*args, **kwargs)
-        monkeypatch.setattr(solver, "monotone_iterate", spy)
+            calls.append((kwargs["max_iter"], kwargs["certify"]))
+            return iterate(*args, **kwargs)
+        iterate = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", spy)
         est = estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5),
                                   max_iter=max_iter)
         assert len(calls) == est.evaluations
-        assert set(calls) == {max_iter}
+        assert set(calls) == {(max_iter, True)}
         assert (est.lower, est.upper) == (1.4140625, 1.421875)
 
     def test_bad_brackets(self, K_line, Pmu_line):
@@ -172,3 +173,77 @@ class TestKappaStar:
             estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.2, 1.0))
         with pytest.raises(BracketError):
             estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(-1.0, 2.0))
+
+
+def _reference_bisection(K, Pmu, p, bracket, tol):
+    """kappa* bisection with a full monotone run per probe and the
+    increment-tail rule at the cap, as before certificates: (bracket,
+    monotone result per probed kappa)."""
+    runs = {}
+
+    def converges(kappa):
+        res = runs[kappa] = monotone_iterate(kappa, K, Pmu, p)
+        if res.status != "iteration_limit":
+            return res.converged
+        tail = res.increments[-10:]
+        return float(np.mean(tail[1:] / tail[:-1])) < 1.0
+    lo, hi = bracket
+    assert converges(lo) and not converges(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if converges(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi), runs
+
+
+class TestSupersolutionCertificate:
+    @pytest.fixture(scope="class")
+    def problems(self):
+        line = build_grid(1, 20.0, 20.0, 1, 300)
+        plane = build_grid(2, 12.0, 12.0, 10, 15)
+        mass = {"type": "point_mass", "mass": 1.0}
+        return [(assemble_green(g), poisson_trace(g, mass), p, bracket)
+                for g, bracket in ((line, (0.5, 2.5)), (plane, (0.1, 20.0)))
+                for p in (2.0, 3.0, 5.0)]
+
+    def test_brackets_match_full_runs(self, problems, monkeypatch):
+        # the certificate only stops a probe early: the bisection brackets
+        # are those of full monotone runs, and every certified kappa also
+        # converges under monotone_iterate
+        certified = []
+
+        def spy(kappa, *args, **kwargs):
+            out = iterate(kappa, *args, **kwargs)
+            if out[0] == "certified":
+                certified.append(kappa)
+            return out
+        iterate = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", spy)
+        for K, Pmu, p, bracket in problems:
+            certified.clear()
+            est = estimate_kappa_star(K, Pmu, p, bracket=bracket, tol=1e-3)
+            reference, runs = _reference_bisection(K, Pmu, p, bracket, 1e-3)
+            assert (est.lower, est.upper) == reference
+            assert certified
+            for kappa in certified:
+                assert runs[kappa].converged
+
+    def test_no_certificate_above_the_threshold(self):
+        # kappa = 1.5 > sqrt(2): no step of the diverging run passes the
+        # check, tried at every step instead of every _CERTIFY_EVERY
+        g = build_grid(1, 20.0, 20.0, 1, 300)
+        K = assemble_green(g)
+        Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+        u = Pmu.values
+        increments = [np.inf]
+        while np.max(u) <= 1e6:
+            nxt = psi_map(u, 1.5, K, Pmu, 3.0)
+            increments.append(float(np.max(np.abs(nxt - u))))
+            assert not solver._is_supersolution_step(
+                u, nxt, nxt - u, increments, 1.5, K, Pmu, 3.0)
+            u = nxt
+        status = solver._iterate(1.5, K, Pmu, 3.0, tol=1e-8, max_iter=100_000,
+                                 blowup_cap=1e6, certify=True)[0]
+        assert status == "diverged"
