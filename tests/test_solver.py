@@ -149,7 +149,7 @@ class TestKappaStar:
         assert est.lower <= np.sqrt(2.0) / 2.0 <= est.upper
 
     # at 200 the probe at 1.4140625 reaches the cap and the increment tail
-    # classifies it; at 2000 a supersolution certificate stops it first
+    # classifies it; at 2000 a supersolution certificate stops it after 256
     @pytest.mark.parametrize("max_iter", [200, 2000])
     def test_one_monotone_run_per_evaluation(self, K_line, Pmu_line,
                                              monkeypatch, max_iter):
@@ -176,9 +176,9 @@ class TestKappaStar:
 
 
 def _reference_bisection(K, Pmu, p, bracket, tol):
-    """kappa* bisection with a full monotone run per probe and the
-    increment-tail rule at the cap, as before certificates: (bracket,
-    monotone result per probed kappa)."""
+    """kappa* bisection without certificates: a full monotone run per
+    probe, and the increment-tail rule at the cap.  Returns the bracket and
+    the monotone result of each probed kappa."""
     runs = {}
 
     def converges(kappa):
