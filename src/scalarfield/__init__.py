@@ -12,8 +12,8 @@ from .exponents import (AdmissiblePair, CriticalExponents, DSetParams,
                         critical_exponents, d_membership,
                         energy_exponent_window_ok, green_norm_pair_ok,
                         stabilization_index)
-from .kernels import (HalfSpacePoint, bessel_k0, bessel_k1, fundamental_E,
-                      fundamental_dE, green_G, poisson_P)
+from .kernels import (bessel_k0, bessel_k1, fundamental_E, fundamental_dE,
+                      green_G, poisson_P)
 from .operators import (DegenerateLinearizationError, EigenResult,
                         HalfLineGreen, IterationLimitError, KernelMatrix,
                         apply_green, assemble_green, jacobian,

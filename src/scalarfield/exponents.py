@@ -9,8 +9,9 @@ always classified as violations without tolerance tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 # float -> Fraction is exact, so < and <= below are decided exactly
@@ -31,10 +32,8 @@ def critical_exponents(N: int) -> CriticalExponents:
         raise ValueError(f"dimension must be a positive integer, got {N!r}")
     N = int(N)
     p_s = math.inf if N <= 2 else (N + 2) / (N - 2)
-    if N <= 10:
-        p_jl = math.inf
-    else:
-        p_jl = (N * N - 8 * N + 4 + 8 * math.sqrt(N - 1)) / ((N - 2) * (N - 10))
+    p_jl = math.inf if N <= 10 else ((N * N - 8 * N + 4 + 8 * math.sqrt(N - 1))
+                                     / ((N - 2) * (N - 10)))
     return CriticalExponents(N=N, p_sobolev=p_s, p_joseph_lundgren=p_jl)
 
 
@@ -48,13 +47,6 @@ class AdmissiblePair:
     violated_conditions: tuple[str, ...]
 
 
-# condition identifiers are the inequalities themselves, in input symbols
-_COND_Q_GT_P = "q > p"
-_COND_SLOPE = "1/q + alpha < 2/p"
-_COND_DIM = "N/q + alpha < 2/(p-1)"
-_COND_ALPHA = "alpha >= 0"
-
-
 def check_admissible(N: int, p: float, q: float, alpha: float) -> AdmissiblePair:
     """Check the strict admissibility conditions on (q, alpha) for given (N, p)."""
     if p <= 1:
@@ -62,13 +54,13 @@ def check_admissible(N: int, p: float, q: float, alpha: float) -> AdmissiblePair
     Nf, pf, qf, af = _exact(N), _exact(p), _exact(q), _exact(alpha)
     violated = []
     if not qf > pf:
-        violated.append(_COND_Q_GT_P)
+        violated.append("q > p")
     if not (1 / qf + af < 2 / pf):
-        violated.append(_COND_SLOPE)
+        violated.append("1/q + alpha < 2/p")
     if not (Nf / qf + af < 2 / (pf - 1)):
-        violated.append(_COND_DIM)
+        violated.append("N/q + alpha < 2/(p-1)")
     if not af >= 0:
-        violated.append(_COND_ALPHA)
+        violated.append("alpha >= 0")
     return AdmissiblePair(q=float(q), alpha=float(alpha),
                           valid=not violated, violated_conditions=tuple(violated))
 
@@ -117,7 +109,20 @@ def energy_exponent_window_ok(nu: float, p: float) -> bool:
     return nf * nf / (2 * nf - 1) < pf
 
 
-@dataclass
+def _rates(N: int, p: float, q: float, alpha: float) -> tuple[Fraction, Fraction]:
+    """Exact (tau, delta) of the recursion; ValueError for inadmissible (q, alpha)."""
+    pair = check_admissible(N, p, q, alpha)
+    if not pair.valid:
+        raise ValueError(f"(q, alpha) inadmissible: {pair.violated_conditions}")
+    Nf, pf, qf, af = _exact(N), _exact(p), _exact(q), _exact(alpha)
+    # both positive: delta > 0 is N/q + alpha < 2/(p-1), which with alpha >= 0
+    # also gives q > N(p-1)/2, i.e. 2/N - (p-1)/q > 0
+    delta = 2 - (pf - 1) * (Nf / qf + af)
+    tau = 2 / Nf - (pf - 1) / qf
+    return (min(tau, delta / (Nf - 1)) if N >= 2 else tau), delta
+
+
+@dataclass(frozen=True)
 class DSetParams:
     """Parameters of the exponent-region recursion D_j(r0, beta0).
 
@@ -131,35 +136,40 @@ class DSetParams:
     alpha: float
     r0: float
     beta0: float
-    tau: float = field(init=False)
-    delta: float = field(init=False)
-    j_star: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        pair = check_admissible(self.N, self.p, self.q, self.alpha)
-        if not pair.valid:
-            raise ValueError(f"(q, alpha) inadmissible: {pair.violated_conditions}")
         if self.r0 <= 1:
             raise ValueError("r0 must exceed 1")
-        Nf, pf, qf, af = (_exact(self.N), _exact(self.p),
-                          _exact(self.q), _exact(self.alpha))
-        r0f, b0f = _exact(self.r0), _exact(self.beta0)
-        if not (1 / r0f < 1 - (pf - 1) / qf):
+        inv_r0, beta0, slope, _, _ = self._rational
+        if not inv_r0 < 1 - slope:
             raise ValueError("starting pair violates 1/r0 < 1 - (p-1)/q")
-        if not (1 / r0f + b0f < 2 - (pf - 1) * (1 / qf + af)):
+        if not inv_r0 + beta0 < 2 - slope - (_exact(self.p) - 1) * _exact(self.alpha):
             raise ValueError("starting pair violates 1/r0 + beta0 < 2 - (p-1)(1/q + alpha)")
-        self.delta = float(2 - (pf - 1) * (Nf / qf + af))
-        if self.N >= 2:
-            self.tau = float(min(Fraction(2, self.N) - (pf - 1) / qf,
-                                 (2 - (pf - 1) * (Nf / qf + af)) / (Nf - 1)))
-        else:
-            self.tau = float(2 - (pf - 1) / qf)
-        assert self.tau > 0 and self.delta > 0
+
+    @cached_property
+    def _rational(self) -> tuple[Fraction, ...]:
+        """(1/r0, beta0, (p-1)/q, tau, delta) as exact rationals."""
+        return (1 / _exact(self.r0), _exact(self.beta0),
+                (_exact(self.p) - 1) / _exact(self.q),
+                *_rates(self.N, self.p, self.q, self.alpha))
+
+    @property
+    def tau(self) -> float:
+        return float(self._rational[3])
+
+    @property
+    def delta(self) -> float:
+        return float(self._rational[4])
 
 
 def tau(N: int, p: float, q: float, alpha: float) -> float:
     """The window-opening rate of the recursion; positive for admissible input."""
-    return DSetParams(N, p, q, alpha, r0=max(q, 2.0), beta0=0.0).tau
+    return float(_rates(N, p, q, alpha)[0])
+
+
+def _beta_j(j: int, inv_r: Fraction, params: DSetParams) -> Fraction:
+    inv_r0, beta0, _, _, delta = params._rational
+    return max(beta0 + params.N * (inv_r0 - inv_r) - j * delta, -1 - inv_r)
 
 
 def beta_j(j: int, r: float, params: DSetParams) -> float:
@@ -168,8 +178,7 @@ def beta_j(j: int, r: float, params: DSetParams) -> float:
         raise ValueError("j must be nonnegative")
     if r <= 1:
         raise ValueError("r must exceed 1")
-    drift = params.beta0 + params.N * (1.0 / params.r0 - 1.0 / r) - j * params.delta
-    return max(drift, -1.0 - 1.0 / r)
+    return float(_beta_j(j, 1 / _exact(r), params))
 
 
 def d_membership(j: int, r: float, beta: float, params: DSetParams) -> bool:
@@ -180,29 +189,21 @@ def d_membership(j: int, r: float, beta: float, params: DSetParams) -> bool:
         return False
     if j == 0:
         return r == params.r0 and beta == params.beta0
-    inv_r = 1.0 / r
-    lo = 1.0 / params.r0 - j * params.tau
-    hi = 1.0 / params.r0 + j * (params.p - 1) / params.q
-    return lo < inv_r < hi and beta > beta_j(j, r, params)
+    inv_r = 1 / _exact(r)
+    inv_r0, _, slope, tau_f, _ = params._rational
+    return (inv_r0 - j * tau_f < inv_r < inv_r0 + j * slope
+            and _exact(beta) > _beta_j(j, inv_r, params))
 
 
 def stabilization_index(params: DSetParams) -> int:
     """Smallest j at which the region recursion reaches its terminal set.
 
     The terminal set is {(r, beta): r > 1, 1/r + beta > -1}.  The recursion
-    equals it exactly when the 1/r window covers (0, 1) and the drifting
-    branch of beta_j has fallen below -1 - 1/r for every r > 1; the latter
-    reduces to beta0 + N/r0 + 1 - j*delta <= 0 since sup_r of the branch
-    difference is attained as r -> infinity.
+    reaches it once the 1/r window covers (0, 1) and the drifting branch of
+    beta_j lies below -1 - 1/r for every r > 1, i.e. beta0 + N/r0 + 1 <= j*delta
+    (the branch difference is largest as r -> infinity).  All three conditions
+    are linear in j, so j* is the largest of their exact ceilings.
     """
-    j = 1
-    while True:
-        window_lo = 1.0 / params.r0 - j * params.tau <= 0.0
-        window_hi = 1.0 / params.r0 + j * (params.p - 1) / params.q >= 1.0
-        envelope = params.beta0 + params.N / params.r0 + 1.0 - j * params.delta <= 0.0
-        if window_lo and window_hi and envelope:
-            params.j_star = j
-            return j
-        j += 1
-        if j > 10_000_000:  # admissibility guarantees termination well before this
-            raise RuntimeError("stabilization index did not terminate")
+    inv_r0, beta0, slope, tau_f, delta = params._rational
+    return max(1, math.ceil(inv_r0 / tau_f), math.ceil((1 - inv_r0) / slope),
+               math.ceil((beta0 + params.N * inv_r0 + 1) / delta))

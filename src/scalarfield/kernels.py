@@ -26,28 +26,7 @@ Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Interior point of the half space: lateral part x' and height x_N > 0."""
-
-    lateral: tuple[float, ...]
-    height: float
-
-    def __post_init__(self):
-        if self.height <= 0.0:
-            raise ValueError("interior points need positive height")
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array((*self.lateral, self.height), dtype=float)
-
-    def reflected(self) -> np.ndarray:
-        return np.array((*self.lateral, -self.height), dtype=float)
 
 
 # Keep these names: fundamental_E/dE call them, and perfbench wraps them here.

@@ -323,7 +323,8 @@ def _half_line_green(grid: Grid) -> HalfLineGreen:
     gaps = np.diff(z, prepend=0.0)              # z_i - z_{i-1}, z_0 = 0
     coth = 1.0 / np.tanh(gaps)
     t_diag = coth + np.append(coth[1:], 1.0)
-    t_off = -1.0 / np.sinh(gaps[1:])
+    # -1/sinh(gap), written so that a huge gap gives -0 without overflow
+    t_off = 2.0 * np.exp(-gaps[1:]) / np.expm1(-2.0 * gaps[1:])
     a = -0.5 * np.expm1(-2.0 * z)               # sinh(z) e^{-z} = S_ii
     cell = _cell_average(1, None, z, grid.cell_sizes)
     # chunk edges: each chunk spans at most _CHUNK_SPAN in height

@@ -191,6 +191,23 @@ class TestCommands:
             (tmp_path / "out" / "verify.json").read_text())
         assert verify[0]["passed"] is True
 
+    def test_verify_all_suites_half_line(self, tmp_path):
+        # kernels, three gintest triples, glaa and structure
+        path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=300))
+        argv = ["verify", "--config", path, "--suite", "all"]
+        assert run_command(argv) == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        checks = summary["results"]["checks"]
+        assert len(checks) == 6 and all(v is True for v in checks.values())
+        assert summary["results"]["all_passed"] is True
+        assert len(json.loads((out / "verify.json").read_text())) == 6
+        first = [(out / name).read_bytes()
+                 for name in ("summary.json", "verify.json")]
+        assert run_command(argv) == 0
+        assert [(out / name).read_bytes()
+                for name in ("summary.json", "verify.json")] == first
+
     def test_output_dir_config_beats_env(self, tmp_path):
         target = tmp_path / "explicit"
         path = write_config(tmp_path, output_dir=str(target))

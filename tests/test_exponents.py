@@ -158,7 +158,20 @@ class TestRegionRecursion:
     def test_reference_stabilization_index(self):
         params = DSetParams(**REFERENCE)
         assert stabilization_index(params) == 2
-        assert params.j_star == 2
+        with pytest.raises(AttributeError):
+            params.r0 = 8.0
+
+    def test_tau_rejects_inadmissible(self):
+        with pytest.raises(ValueError):
+            tau(1, 3.0, 2.0, 0.0)
+
+    def test_stabilization_index_for_small_delta(self):
+        # delta = 0.5 - 4 alpha, about 4e-9 and 4e-6: j* = 1.75 / delta
+        base = dict(N=3, p=5.0, q=8.0, r0=4.0, beta0=0.0)
+        assert stabilization_index(DSetParams(alpha=0.125 - 1e-9, **base)) \
+            == 437_500_001
+        assert stabilization_index(DSetParams(alpha=0.125 - 1e-6, **base)) \
+            == 437_500
 
 
 def _scan_oracle(params, max_j=3000):
@@ -195,8 +208,17 @@ def _random_admissible(rng):
             continue
 
 
+# (N, p, q, alpha, r0, beta0) where a condition holds with equality at j*:
+# j* is 8, 7, 6 and 12; a float comparison can miss the tie by one step
+TIES = [(5, 2.0, 3.0, 0.0, 3.0, 0.0),
+        (2, 5.0, 6.0, 0.125, 12.0, 0.0),
+        (3, 2.5, 5.0, 0.5, 5.0, 0.5),
+        (4, 3.0, 5.0, 0.125, 5.0, 0.0)]
+
+
 def test_stabilization_matches_scan_oracle():
     rng = np.random.default_rng(2026)
-    for _ in range(25):
-        params = _random_admissible(rng)
+    ties = [DSetParams(*tie) for tie in TIES]
+    for params in [_random_admissible(rng) for _ in range(25)] + ties:
         assert stabilization_index(params) == _scan_oracle(params), params
+    assert [stabilization_index(params) for params in ties] == [8, 7, 6, 12]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from scalarfield.kernels import (HalfSpacePoint, bessel_k0, bessel_k1,
-                                 fundamental_E, fundamental_dE, green_G,
-                                 poisson_P)
+from scalarfield.kernels import (bessel_k0, bessel_k1, fundamental_E,
+                                 fundamental_dE, green_G, poisson_P)
 
 
 # K0, K1 at X_TABLE to 17 significant digits (mpmath 1.3.0 at 40 digits)
@@ -144,14 +143,3 @@ class TestPoissonKernel:
                           > 0.0)
         with pytest.raises(ValueError):
             poisson_P(1, 0.0)
-
-
-class TestHalfSpacePoint:
-    def test_coords_and_reflection(self):
-        pt = HalfSpacePoint(lateral=(1.0, 2.0), height=0.5)
-        np.testing.assert_array_equal(pt.coords, [1.0, 2.0, 0.5])
-        np.testing.assert_array_equal(pt.reflected(), [1.0, 2.0, -0.5])
-
-    def test_interior_only(self):
-        with pytest.raises(ValueError):
-            HalfSpacePoint(lateral=(), height=0.0)
