@@ -8,7 +8,8 @@ Exit codes, all mapped in `run_command`: 0 success; 1 a computational
 outcome ("<command>: <message>": no minimal solution, a bracket that does
 not straddle kappa*, a singular Jacobian, ...), failed checks or IO trouble;
 2 a config error, including a wrongly typed value or a grid whose arrays
-would not fit the memory budget.
+would not fit the memory budget, or bad command-line arguments
+("exponents: <message>" for an out-of-range --N or --p).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -242,17 +244,34 @@ def _minimal_solution(cfg, K, Pmu):
 
 def _cmd_exponents(args) -> int:
     N, p = args.N, args.p
-    crit = critical_exponents(N)
-    print(f"N = {N}")
-    print(f"p_sobolev = {FLOAT_FMT % crit.p_sobolev}")
-    print(f"p_joseph_lundgren = {FLOAT_FMT % crit.p_joseph_lundgren}")
-    q_hi = max(4 * p, 3 * N * (p - 1))  # keep the scan inside reach of N/q + alpha < 2/(p-1)
+    if N < 1:
+        return _exponents_usage(f"--N must be a positive integer, not {N}")
+    if not (math.isfinite(p) and p > 1.0):
+        return _exponents_usage(f"--p must be a finite number above 1, "
+                                f"not {p:g}")
+    try:
+        crit = critical_exponents(N)
+        # keep the scan inside reach of N/q + alpha < 2/(p-1)
+        q_hi = max(4 * p, 3 * N * (p - 1))
+    except OverflowError:       # an N past float range
+        q_hi = math.inf
+    if not math.isfinite(q_hi):
+        return _exponents_usage(f"--N {N} with --p {p:g} overflows the "
+                                "admissibility scan")
     scan = [check_admissible(N, p, float(q), float(alpha)).valid
             for q in np.linspace(p + 0.25, q_hi, 16)
             for alpha in np.linspace(0.0, 1.5, 7)]
+    print(f"N = {N}")
+    print(f"p_sobolev = {FLOAT_FMT % crit.p_sobolev}")
+    print(f"p_joseph_lundgren = {FLOAT_FMT % crit.p_joseph_lundgren}")
     print(f"admissibility scan at p = {p:g}: {sum(scan)}/{len(scan)} "
           f"(q, alpha) pairs admissible")
     return 0
+
+
+def _exponents_usage(message: str) -> int:
+    print(f"exponents: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_solve(cfg) -> int:
@@ -311,7 +330,8 @@ def _cmd_eigen(cfg) -> int:
 
 def _cmd_branch(cfg) -> int:
     cont = cfg["continuation"]
-    # K, the previous point's LU and the new Jacobian while a tangent forms;
+    # K, the previous point's LU and the new Jacobian while a tangent forms
+    # (a corrector drops its own refactorized LU before the next one forms);
     # the branch points and the fold point keep one field each
     _, K, Pmu = _build_problem(cfg, copies=3,
                                fields=cont["max_points"] + 1)
@@ -336,6 +356,9 @@ def _cmd_branch(cfg) -> int:
         kappa_fold, fold_pt = detect_fold(branch)
         results["fold"] = {"kappa": kappa_fold, "lambda": fold_pt.lambda_,
                            "sup_norm": fold_pt.sup_norm}
+    # tracing and fold detection together
+    results["corrector_steps"] = branch.stepper.corrector_steps
+    results["factorizations"] = branch.stepper.factorizations
     _write_summary(out_dir, "branch", cfg, results)
     return 0
 

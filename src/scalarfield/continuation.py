@@ -2,13 +2,17 @@
 
 The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
 past the fold where the minimal and the second branch meet.  The Jacobian
-is factorized once per accepted point, where it gives the tangent; a chord
+is factorized at each accepted point, where it gives the tangent; a chord
 Newton corrector then solves the bordered system with that factorization,
-one triangular solve per iteration.
+one triangular solve per iteration.  The corrector refactorizes at an
+iterate only when that is cheaper than the chord steps it saves, as the
+Green operator's `factorization_cost` states: in practice for the O(n)
+N = 1 operator, never for a dense one of 150 nodes or more.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +54,8 @@ class _Stepper:
         self.K = K
         self.Pmu = Pmu
         self.p = p
+        self.corrector_steps = 0    # chord and Newton solves in correct()
+        self.factorizations = 0     # Jacobian LUs, one per tangent()
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # mean-weighted product keeps the field and kappa components comparable
@@ -63,6 +69,7 @@ class _Stepper:
         direction previous = (du, dkappa); without one, dkappa > 0.
         """
         J = jacobian(self.K, Field(self.K.grid, u), self.p)
+        self.factorizations += 1
         with np.errstate(all="ignore"):
             lu = lu_factor(J)
             b = lu_solve(lu, self.Pmu.values)
@@ -79,29 +86,73 @@ class _Stepper:
         """Chord Newton from the predictor at arclength ds back onto the branch.
 
         tang = (lu, du, dk) comes from tangent() at (u_prev, kappa_prev).
-        Since J du = dk*Pmu and |(du, dk)| = 1, the bordered step is the
-        solve a = J^{-1} F plus a multiple t of the tangent.  Returns
+        With the unit tangent (du_J, dk_J) at the factorized Jacobian J, the
+        bordered step is the solve a = J^{-1} F plus a multiple t of that
+        tangent, t = (<du, a> - c) / (<du, du_J> + dk dk_J); while J is the
+        one at u_prev, (du_J, dk_J) = (du, dk) and the denominator is 1.
+        J is refactorized at the current iterate when the rate the chord
+        has shown since J was factorized predicts more steps to go than one
+        factorization costs (`factorization_cost`, in chord steps), and the
+        iterations left are more than that cost too.  A residual above the
+        one a refactorization was made at ends the chord: Newton has left
+        its basin, and a shorter step does better.  Returns
         (u, kappa, tangent oriented along (du, dk)) at the corrected point,
-        or None if the chord fails or the Jacobian there is singular.
+        or None if the chord fails or a Jacobian is singular.
         """
         lu, du, dk = tang
+        cost = self.K.factorization_cost
+        fresh = None            # (lu, du_J, dk_J) factorized at an iterate
+        since = None            # (iteration, residual) where J was factorized
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
-        for _ in range(_CORRECTOR_ITERS):
+        for it in range(_CORRECTOR_ITERS):
             F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
             c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
-            if np.max(np.abs(F)) <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
+            F_sup = float(np.max(np.abs(F)))
+            if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
+                fresh = None    # K, the caller's LU and the new J stay alive
                 try:
                     return u, kappa, self.tangent(u, (du, dk))
                 except FloatingPointError:
                     return None
+            residual = max(F_sup, abs(c))
+            if since is None:
+                since = (it, residual)
+            elif fresh is not None and residual > since[1]:
+                return None
+            elif cost < min(_steps_to_go(since, it, residual),
+                            _CORRECTOR_ITERS - it):
+                fresh = None    # dropped before the next J forms
+                try:
+                    fresh = self.tangent(u, (du, dk))
+                except FloatingPointError:
+                    return None
+                since = (it, residual)
+            self.corrector_steps += 1
             with np.errstate(all="ignore"):
-                a = lu_solve(lu, F)
-            t = self._dot(du, a) - c
-            u = u - a + t * du
-            kappa = kappa + t * dk
+                a = lu_solve(lu if fresh is None else fresh[0], F)
+            if fresh is None:
+                t = self._dot(du, a) - c
+                u = u - a + t * du
+                kappa = kappa + t * dk
+            else:
+                du_J, dk_J = fresh[1:]     # no second name for its LU
+                t = (self._dot(du, a) - c) / (self._dot(du, du_J) + dk * dk_J)
+                u = u - a + t * du_J
+                kappa = kappa + t * dk_J
             if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
                 return None
         return None
+
+
+def _steps_to_go(since: tuple[int, float], it: int, residual: float) -> float:
+    """Chord steps from `residual` at iteration it down to _NEWTON_TOL, at
+    the mean rate shown since (iteration, residual) = since; inf if the
+    residual has not shrunk."""
+    start, start_residual = since
+    rate = (residual / start_residual) ** (1.0 / (it - start))
+    if rate >= 1.0:
+        return math.inf
+    return math.log(_NEWTON_TOL / residual) / math.log(rate)
 
 
 @dataclass

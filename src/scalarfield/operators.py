@@ -77,6 +77,12 @@ class KernelMatrix:
             raise ValueError(f"entries shape {self.entries.shape} does not match "
                              f"grid with {n} nodes")
 
+    @property
+    def factorization_cost(self) -> float:
+        """One Jacobian LU and tangent, in chord corrector steps: 2n^3/3
+        flops over a step's 2n^2 product."""
+        return self.grid.n_nodes / 3.0
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ x
 
@@ -162,6 +168,13 @@ class HalfLineGreen:
     diag_weights: np.ndarray    # s w
     l_chunks: tuple             # (lo, hi, carry) from the bottom up
     v_chunks: tuple             # the same from the top down, reversed indices
+
+    @property
+    def factorization_cost(self) -> float:
+        """One Jacobian, gttrf and tangent solve, in chord corrector steps:
+        all O(n), together they take as long as one step's product and
+        solve (measured at 300 to 20 000 nodes)."""
+        return 1.0
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape)

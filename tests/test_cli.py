@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import scalarfield
-from scalarfield import cli, operators
+from scalarfield import cli, continuation, operators
 from scalarfield.cli import (BRANCH_CSV_HEADER, OUTPUT_DIR_ENV, ConfigError,
                              load_config, run_command)
 from scalarfield.discretization import build_grid
-from scalarfield.operators import IterationLimitError, assemble_green
-from scalarfield.solver import KappaStarEstimate, NearFoldError
+from scalarfield.operators import (IterationLimitError, assemble_green,
+                                   lu_solve)
+from scalarfield.solver import KappaStarEstimate, NearFoldError, psi_map
 from scalarfield.verify import CheckReport
 
 from conftest import peak_allocation
@@ -174,6 +175,47 @@ class TestCommands:
         assert (out / "branch.csv").read_bytes() == first
         assert (out / "summary.json").read_bytes() == first_summary
 
+    def test_branch_reports_corrector_work(self, tmp_path, monkeypatch):
+        # every tangent is one LU and one solve, every corrector step a solve
+        calls = {"lu_factor": 0, "lu_solve": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(continuation, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(continuation, name, counted)
+        path = write_config(tmp_path,
+                            continuation={"start_kappa": 0.3, "step": 0.1,
+                                          "max_points": 60})
+        assert run_command(["branch", "--config", path]) == 0
+        results = json.loads(
+            (tmp_path / "out" / "summary.json").read_text())["results"]
+        assert results["factorizations"] == calls["lu_factor"]
+        assert results["corrector_steps"] == (calls["lu_solve"]
+                                              - calls["lu_factor"])
+        assert results["factorizations"] > results["points"]
+
+    def test_dense_branch_matches_the_one_lu_chord(self, tmp_path,
+                                                  monkeypatch):
+        # a dense LU costs more chord steps than a corrector has, so the
+        # trace is the one the chord with one LU per point gives, bit for bit
+        path = write_config(tmp_path, problem=PLANE["problem"],
+                            grid=PLANE["grid"],
+                            continuation={"start_kappa": 0.5, "step": 0.05,
+                                          "max_points": 40})
+        out = tmp_path / "out"
+        assert run_command(["branch", "--config", path]) == 0
+        csv = (out / "branch.csv").read_bytes()
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["fold_index"] is not None
+        monkeypatch.setattr(continuation._Stepper, "correct",
+                            _chord_with_one_lu)
+        assert run_command(["branch", "--config", path]) == 0
+        assert (out / "branch.csv").read_bytes() == csv
+        reference = json.loads((out / "summary.json").read_text())["results"]
+        assert reference["fold"] == results["fold"]
+        assert reference["factorizations"] == results["factorizations"]
+
     def test_verify_structure_suite(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert run_command(["verify", "--config", path,
@@ -214,6 +256,29 @@ class TestCommands:
         assert run_command(["solve", "--config", path]) == 0
         assert (target / "summary.json").exists()
         assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def _chord_with_one_lu(self, u_prev, kappa_prev, tang, ds):
+    """The chord corrector that solves with the accepted point's LU at
+    every step, for a reference trace."""
+    lu, du, dk = tang
+    u, kappa = u_prev + ds * du, kappa_prev + ds * dk
+    for _ in range(continuation._CORRECTOR_ITERS):
+        F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
+        c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
+        if np.max(np.abs(F)) <= 1e-11 and abs(c) <= 1e-11:
+            try:
+                return u, kappa, self.tangent(u, (du, dk))
+            except FloatingPointError:
+                return None
+        with np.errstate(all="ignore"):
+            a = lu_solve(lu, F)
+        t = self._dot(du, a) - c
+        u = u - a + t * du
+        kappa = kappa + t * dk
+        if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
+            return None
+    return None
 
 
 def _failing_check(*args, **kwargs):
@@ -260,7 +325,19 @@ class TestExitCodes:
     # a case with config overrides runs with "--config <file>" appended
     @pytest.mark.parametrize("argv, overrides, patch, code, message", [
         (["frobnicate"], None, None, 2, ""),
-        (["exponents", "--N", "0", "--p", "3"], None, None, 2, "config error"),
+        # exponents checks its arguments before it prints anything
+        (["exponents", "--N", "0", "--p", "3"], None, None, 2,
+         "exponents: --N must be a positive integer"),
+        (["exponents", "--N", "3", "--p", "inf"], None, None, 2,
+         "exponents: --p must be a finite number above 1"),
+        (["exponents", "--N", "3", "--p", "nan"], None, None, 2,
+         "exponents: --p must be a finite number above 1"),
+        (["exponents", "--N", "3", "--p", "0.5"], None, None, 2,
+         "exponents: --p must be a finite number above 1"),
+        (["exponents", "--N", "3", "--p", "1e308"], None, None, 2,
+         "exponents: --N 3 with --p 1e+308 overflows"),
+        (["exponents", "--N", str(10 ** 400), "--p", "3"], None, None, 2,
+         "overflows the admissibility scan"),
         # 10^9 nodes: refused from the config alone, nothing is allocated
         (["solve"], {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
          ("build_grid", _no_grid), 2, "memory budget"),
@@ -293,7 +370,9 @@ class TestExitCodes:
          "must be finite"),
         (["solve"], {"grid": dict(FAST_GRID, R=float("inf"))}, None, 2,
          "must be finite"),
-    ], ids=["unknown-command", "exponents-N0", "memory-budget", "radial-N1",
+    ], ids=["unknown-command", "exponents-N0", "exponents-p-infinity",
+            "exponents-p-nan", "exponents-p-half", "exponents-p-overflow",
+            "exponents-N-overflow", "memory-budget", "radial-N1",
             "eigen-above-threshold", "eigen-weight-vanishes",
             "bracket-below-threshold",
             "output-dir-is-file", "verify-check-fails",
@@ -308,9 +387,11 @@ class TestExitCodes:
         if overrides is not None:
             argv = argv + ["--config", write_config(tmp_path, **overrides)]
         assert run_command(argv) == code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert message in err and "Traceback" not in err
-        if code == 2 and message:
+        if argv[0] == "exponents":
+            assert out == "" and "config error" not in err
+        elif code == 2 and message:
             assert "config error" in err
 
     @pytest.mark.parametrize("error", [

@@ -6,7 +6,8 @@ from scalarfield import continuation
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
-from scalarfield.operators import assemble_green, poisson_trace
+from scalarfield.operators import (KernelMatrix, assemble_green,
+                                   poisson_trace)
 from scalarfield.solver import monotone_iterate, psi_map
 
 from conftest import peak_allocation, soliton
@@ -54,18 +55,69 @@ class TestTraceBranch:
             residual = u - psi_map(u, pt.kappa, K_line, Pmu_line, 3.0)
             assert np.max(np.abs(residual)) <= 1e-10
 
-    def test_one_factorization_per_point(self, K_line, Pmu_line,
-                                         monkeypatch):
+    def test_one_factorization_per_point(self, plane, monkeypatch):
+        # a dense Jacobian costs more chord steps than a corrector has, so
+        # each accepted point's tangent is the only factorization
+        _, K, Pmu, _ = plane
+        assert K.factorization_cost >= continuation._CORRECTOR_ITERS
         calls, lu_factor = [], continuation.lu_factor
 
         def counting_lu_factor(*args, **kwargs):
             calls.append(1)
             return lu_factor(*args, **kwargs)
         monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
+        short = trace_branch(0.5, K, Pmu, 3.0, step=0.05, max_points=8)
+        assert len(short.points) == 8
+        assert len(calls) == len(short.points)
+        assert short.stepper.factorizations == len(calls)
+
+    def test_half_line_refactorizes_to_save_fixed_point_maps(
+            self, K_line, Pmu_line, monkeypatch):
+        # the chord with one LU per point took 35 maps for these 8 points
+        maps, factors = [], []
+
+        def counting(counter, fn):
+            def wrapped(*args, **kwargs):
+                counter.append(1)
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(continuation, "psi_map",
+                            counting(maps, continuation.psi_map))
+        monkeypatch.setattr(continuation, "lu_factor",
+                            counting(factors, continuation.lu_factor))
         short = trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.05,
                              max_points=8)
         assert len(short.points) == 8
-        assert len(calls) == len(short.points)
+        assert len(maps) < 35
+        assert len(factors) > len(short.points)
+        assert short.stepper.factorizations == len(factors)
+
+    def test_correction_that_leaves_the_newton_basin_stops_early(
+            self, K_line, Pmu_line, branch):
+        # a step of 0.4 across the fold: the residual rises after a
+        # refactorization, and the corrector gives up long before its
+        # iteration budget
+        i = int(np.argmax(branch.kappas))
+        top, before = branch.points[i], branch.points[i - 1]
+        u = top.field.values
+        stepper = _Stepper(K_line, Pmu_line, 3.0)
+        tang = stepper.tangent(u, (u - before.field.values,
+                                   top.kappa - before.kappa))
+        assert stepper.correct(u, top.kappa, tang, 0.4) is None
+        assert stepper.factorizations > 1
+        assert stepper.corrector_steps < 10
+
+    def test_points_match_the_closed_form_branch(self, grid_line, branch):
+        # sqrt(2) sech(x + a) below the fold, sqrt(2) sech(x - a) above,
+        # sech a = kappa / sqrt(2); a = 0 past the discrete fold (kappa
+        # slightly above sqrt(2))
+        z = grid_line.heights
+        for pt in branch.points:
+            a = np.arccosh(max(np.sqrt(2.0) / pt.kappa, 1.0))
+            err = min(np.max(np.abs(pt.field.values
+                                    - np.sqrt(2.0) / np.cosh(z + s * a)))
+                      for s in (1.0, -1.0))
+            assert err <= 1e-3
 
     def test_validation(self, K_line, Pmu_line):
         with pytest.raises(ValueError):
@@ -102,6 +154,20 @@ class TestTangentMemory:
         _, extra = peak_allocation(stepper.tangent, u,
                                    (previous[1], previous[2]))
         assert extra <= 16 * 8 * grid_line.n_nodes
+
+    def test_refactorizing_corrector_holds_one_new_matrix(self, plane,
+                                                          monkeypatch):
+        # refactorize at every iterate: each LU is dropped before the next
+        # Jacobian forms, and before the converged point's tangent
+        _, K, Pmu, u = plane
+        monkeypatch.setattr(KernelMatrix, "factorization_cost", 0.0)
+        stepper = _Stepper(K, Pmu, 3.0)
+        tang = stepper.tangent(u, None)         # the caller's LU stays alive
+        result, extra = peak_allocation(stepper.correct, u, 0.5, tang, 0.5)
+        assert result is not None
+        # two refactorizations, then the converged point's tangent
+        assert stepper.factorizations >= 4
+        assert extra <= 1.1 * K.entries.nbytes
 
     def test_lu_overwrites_the_fortran_ordered_jacobian(self, plane,
                                                         monkeypatch):
