@@ -4,10 +4,10 @@ The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
 past the fold where the minimal and the second branch meet.  The Jacobian
 is factorized at each accepted point, where it gives the tangent; a chord
 Newton corrector then solves the bordered system with that factorization,
-one triangular solve per iteration.  The corrector refactorizes at an
-iterate only when that is cheaper than the chord steps it saves, as the
-Green operator's `factorization_cost` states: in practice for the O(n)
-N = 1 operator, never for a dense one of 150 nodes or more.
+one triangular solve per iteration.  When the Green operator's
+`factorization_cost` is under the iterations left, the corrector instead
+refactorizes at every iterate after the first (bordered Newton): the O(n)
+N = 1 operator does, a dense one never does.
 """
 
 from __future__ import annotations
@@ -90,19 +90,18 @@ class _Stepper:
         bordered step is the solve a = J^{-1} F plus a multiple t of that
         tangent, t = (<du, a> - c) / (<du, du_J> + dk dk_J); while J is the
         one at u_prev, (du_J, dk_J) = (du, dk) and the denominator is 1.
-        J is refactorized at the current iterate when the rate the chord
-        has shown since J was factorized predicts more steps to go than one
-        factorization costs (`factorization_cost`, in chord steps), and the
-        iterations left are more than that cost too.  A residual above the
-        one a refactorization was made at ends the chord: Newton has left
-        its basin, and a shorter step does better.  Returns
-        (u, kappa, tangent oriented along (du, dk)) at the corrected point,
-        or None if the chord fails or a Jacobian is singular.
+        From the second iterate on, J is refactorized at each iterate when
+        one factorization costs fewer chord steps (`factorization_cost`)
+        than the iterations left.  A residual above the previous one after
+        a refactorization ends the correction: Newton has left its basin,
+        and a shorter step does better.  Returns (u, kappa, tangent
+        oriented along (du, dk)) at the corrected point, or None if the
+        correction fails or a Jacobian is singular.
         """
         lu, du, dk = tang
         cost = self.K.factorization_cost
         fresh = None            # (lu, du_J, dk_J) factorized at an iterate
-        since = None            # (iteration, residual) where J was factorized
+        last = math.inf         # residual at the previous iterate
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
         for it in range(_CORRECTOR_ITERS):
             F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
@@ -115,18 +114,15 @@ class _Stepper:
                 except FloatingPointError:
                     return None
             residual = max(F_sup, abs(c))
-            if since is None:
-                since = (it, residual)
-            elif fresh is not None and residual > since[1]:
+            if fresh is not None and residual > last:
                 return None
-            elif cost < min(_steps_to_go(since, it, residual),
-                            _CORRECTOR_ITERS - it):
+            last = residual
+            if it > 0 and cost < _CORRECTOR_ITERS - it:
                 fresh = None    # dropped before the next J forms
                 try:
                     fresh = self.tangent(u, (du, dk))
                 except FloatingPointError:
                     return None
-                since = (it, residual)
             self.corrector_steps += 1
             with np.errstate(all="ignore"):
                 a = lu_solve(lu if fresh is None else fresh[0], F)
@@ -142,17 +138,6 @@ class _Stepper:
             if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
                 return None
         return None
-
-
-def _steps_to_go(since: tuple[int, float], it: int, residual: float) -> float:
-    """Chord steps from `residual` at iteration it down to _NEWTON_TOL, at
-    the mean rate shown since (iteration, residual) = since; inf if the
-    residual has not shrunk."""
-    start, start_residual = since
-    rate = (residual / start_residual) ** (1.0 / (it - start))
-    if rate >= 1.0:
-        return math.inf
-    return math.log(_NEWTON_TOL / residual) / math.log(rate)
 
 
 @dataclass

@@ -197,8 +197,9 @@ class TestCommands:
 
     def test_dense_branch_matches_the_one_lu_chord(self, tmp_path,
                                                   monkeypatch):
-        # a dense LU costs more chord steps than a corrector has, so the
-        # trace is the one the chord with one LU per point gives, bit for bit
+        # a dense LU is never taken as cheaper than the steps it saves, so
+        # the trace is the one the chord with one LU per point gives, bit
+        # for bit
         path = write_config(tmp_path, problem=PLANE["problem"],
                             grid=PLANE["grid"],
                             continuation={"start_kappa": 0.5, "step": 0.05,
@@ -266,7 +267,8 @@ def _chord_with_one_lu(self, u_prev, kappa_prev, tang, ds):
     for _ in range(continuation._CORRECTOR_ITERS):
         F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
         c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
-        if np.max(np.abs(F)) <= 1e-11 and abs(c) <= 1e-11:
+        if (np.max(np.abs(F)) <= continuation._NEWTON_TOL
+                and abs(c) <= continuation._NEWTON_TOL):
             try:
                 return u, kappa, self.tangent(u, (du, dk))
             except FloatingPointError:

@@ -56,8 +56,8 @@ class TestTraceBranch:
             assert np.max(np.abs(residual)) <= 1e-10
 
     def test_one_factorization_per_point(self, plane, monkeypatch):
-        # a dense Jacobian costs more chord steps than a corrector has, so
-        # each accepted point's tangent is the only factorization
+        # a dense Jacobian is never taken as cheaper than the steps it
+        # saves, so each accepted point's tangent is the only factorization
         _, K, Pmu, _ = plane
         assert K.factorization_cost >= continuation._CORRECTOR_ITERS
         calls, lu_factor = [], continuation.lu_factor
@@ -157,8 +157,9 @@ class TestTangentMemory:
 
     def test_refactorizing_corrector_holds_one_new_matrix(self, plane,
                                                           monkeypatch):
-        # refactorize at every iterate: each LU is dropped before the next
-        # Jacobian forms, and before the converged point's tangent
+        # refactorize at every iterate after the first: each LU is dropped
+        # before the next Jacobian forms, and before the converged point's
+        # tangent
         _, K, Pmu, u = plane
         monkeypatch.setattr(KernelMatrix, "factorization_cost", 0.0)
         stepper = _Stepper(K, Pmu, 3.0)
