@@ -11,7 +11,7 @@ from .exponents import (AdmissiblePair, CriticalExponents, DSetParams,
                         check_admissible, check_besov_region,
                         critical_exponents, d_membership,
                         energy_exponent_window_ok, green_norm_pair_ok,
-                        stabilization_index)
+                        point_mass_admissible, stabilization_index)
 from .kernels import (bessel_k0, bessel_k1, fundamental_E, fundamental_dE,
                       green_G, poisson_P)
 from .operators import (DegenerateLinearizationError, EigenResult,

@@ -305,7 +305,9 @@ def _cmd_kappa_star(cfg) -> int:
                               blowup_cap=solv["blowup_cap"])
     results = {"kappa_star": {"lower": est.lower, "upper": est.upper,
                               "width": est.width,
-                              "evaluations": est.evaluations}}
+                              "evaluations": est.evaluations},
+               "fixed_point_maps": est.fixed_point_maps,
+               "probes": [list(probe) for probe in est.probes]}
     _write_summary(_output_dir(cfg), "kappa-star", cfg, results)
     return 0
 

@@ -65,6 +65,22 @@ def check_admissible(N: int, p: float, q: float, alpha: float) -> AdmissiblePair
                           valid=not violated, violated_conditions=tuple(violated))
 
 
+def point_mass_admissible(N: int, p: float) -> bool:
+    """Whether a boundary point mass is admissible data for (N, p).
+
+    Near the origin P[delta] ~ x_N |x|^{-N}, which lies in L^q_alpha near 0
+    iff N/q + alpha > N - 1, while admissibility needs N/q + alpha <
+    2/(p - 1).  Both hold for some (q, alpha) iff (N - 1)(p - 1) < 2, that is
+    p < (N + 1)/(N - 1), the critical exponent for boundary measure data;
+    always true for N = 1.
+    """
+    if N < 1 or int(N) != N:
+        raise ValueError(f"dimension must be a positive integer, got {N!r}")
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    return (_exact(N) - 1) * (_exact(p) - 1) < 2
+
+
 def check_besov_region(N: int, p: float, q: float, s: float) -> bool:
     """Whether (q, s) lies in the boundary-data regularity region for (N, p).
 

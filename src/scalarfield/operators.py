@@ -9,7 +9,8 @@ tridiagonal in closed form (`HalfLineGreen`).  Either way the singular
 quadrature diagonal averages the kernel over sub-points of the cell instead
 of evaluating it at the (coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
 slab per lateral offset, since on the uniform lateral grid a pair average
-depends on the two columns only through their offsets; N = 3 (and the dense
+depends on the two columns only through their offsets, and each symmetric
+slab value is evaluated once; N = 3 (and the dense
 N = 1 reference) is evaluated row block by row block.  A mirror pair is
 the two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
 Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
@@ -430,14 +431,18 @@ def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
         T_d[i, j] = E(hypot(d dr, z_i - z_j)) - E(hypot(d dr, z_i + z_j)),
 
     so 2 nl slabs of nh x nh hold every kernel value of the nl^2 blocks.
-    The slabs are built for blocks of height rows, about _BLOCK_ENTRIES
-    kernel pairs each; the singular diagonal is the sub-cell average.
+    T_d is exactly symmetric, and so is the bare matrix.  The slabs are built
+    for blocks of height rows lo:hi, about _BLOCK_ENTRIES kernel pairs each,
+    and only for the columns from lo on: each T_d[i, j] is evaluated once,
+    for i <= j, and mirrored to j < i inside the block; the columns left of
+    the block are the transposes of rows already filled.  The singular
+    diagonal is the sub-cell average.
     """
     heights = grid.heights
     nl = int(np.count_nonzero(heights == heights[0]))
     nh = grid.n_nodes // nl
     z = heights[:nh]
-    lateral = (grid.cell_sizes[0, 0] * np.arange(2 * nl))[:, None, None]
+    lateral = (grid.cell_sizes[0, 0] * np.arange(2 * nl))[:, None]
     columns = np.arange(nl)
     direct = np.abs(columns[:, None] - columns[None, :])
     mirrored = columns[:, None] + columns[None, :] + 1
@@ -445,18 +450,24 @@ def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
     block = max(1, _BLOCK_ENTRIES // (2 * nl * nh))
     for lo in range(0, nh, block):
         hi = min(lo + block, nh)
-        source = np.hypot(lateral, z[lo:hi, None] - z[None, :])
+        rows, cols = np.triu_indices(hi - lo, 0, nh - lo)
+        zi, zj = z[lo + rows], z[lo + cols]
+        source = np.hypot(lateral, zi - zj)
         # dodge the singular d = 0, i = j entries; the diagonal is
         # overwritten below
-        source[0, np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        image = np.hypot(lateral, z[lo:hi, None] + z[None, :])
-        slabs = fundamental_E(2, source)
-        slabs -= fundamental_E(2, image)
+        source[0, rows == cols] = 1.0
+        upper = fundamental_E(2, source)
+        upper -= fundamental_E(2, np.hypot(lateral, zi + zj, out=source))
+        slabs = np.empty((2 * nl, hi - lo, nh - lo))
+        slabs[:, rows, cols] = upper
+        below = np.tril_indices(hi - lo, -1)
+        slabs[:, below[0], below[1]] = slabs[:, below[1], below[0]]
         for a in range(nl):
             pair = slabs[direct[a]]
             pair += slabs[mirrored[a]]
             pair *= 0.5
-            out[a, lo:hi] = pair.transpose(1, 0, 2)
+            out[a, lo:hi, :, lo:] = pair.transpose(1, 0, 2)
+            out[a, lo:hi, :, :lo] = out[:, :lo, a, lo:hi].transpose(2, 0, 1)
     np.fill_diagonal(entries, _cell_average(2, grid.radii, heights,
                                             grid.cell_sizes))
 

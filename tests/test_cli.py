@@ -149,6 +149,19 @@ class TestCommands:
         assert est["lower"] < 2.0 ** 0.5 < est["upper"]
         assert est["width"] <= 1e-2
 
+    def test_kappa_star_reports_its_probes(self, tmp_path):
+        path = write_config(tmp_path, solver={"bracket": [0.5, 2.5]})
+        assert run_command(["kappa-star", "--config", path]) == 0
+        out = tmp_path / "out" / "summary.json"
+        first = out.read_bytes()
+        results = json.loads(first)["results"]
+        probes = results["probes"]
+        assert len(probes) == results["kappa_star"]["evaluations"]
+        assert results["fixed_point_maps"] == sum(maps for *_, maps in probes)
+        assert probes[:2] == [[0.5, "converged", 8], [2.5, "diverged", 6]]
+        assert run_command(["kappa-star", "--config", path]) == 0
+        assert out.read_bytes() == first
+
     def test_eigen_reports_stability(self, tmp_path):
         path = write_config(tmp_path)
         assert run_command(["eigen", "--config", path]) == 0

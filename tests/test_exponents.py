@@ -6,7 +6,8 @@ import pytest
 from scalarfield.exponents import (DSetParams, beta_j, check_admissible,
                                    check_besov_region, critical_exponents,
                                    d_membership, energy_exponent_window_ok,
-                                   green_norm_pair_ok, stabilization_index, tau)
+                                   green_norm_pair_ok, point_mass_admissible,
+                                   stabilization_index, tau)
 
 
 class TestCriticalExponents:
@@ -33,6 +34,32 @@ class TestCriticalExponents:
             critical_exponents(0)
         with pytest.raises(ValueError):
             critical_exponents(2.5)
+
+
+class TestPointMassAdmissible:
+    def test_critical_exponent_is_excluded_exactly(self):
+        assert not point_mass_admissible(2, 3.0)
+        assert point_mass_admissible(2, np.nextafter(3.0, 0.0))
+        assert not point_mass_admissible(3, 2.0)
+        assert point_mass_admissible(3, np.nextafter(2.0, 0.0))
+        assert all(point_mass_admissible(1, p) for p in (1.5, 3.0, 1e300))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_matches_an_admissible_pair_search(self, N):
+        # admissible iff some admissible (q, alpha) has P[delta] ~
+        # x_N |x|^-N in L^q_alpha near 0, that is N/q + alpha > N - 1
+        for p in (1.2, 1.5, 1.8, 2.4, 2.8, 3.2, 4.0):
+            found = any(N / q + alpha > N - 1
+                        and check_admissible(N, p, q, alpha).valid
+                        for q in p * (1.0 + np.geomspace(1e-3, 10.0, 25))
+                        for alpha in np.linspace(0.0, 2.0, 81))
+            assert found == point_mass_admissible(N, p), p
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            point_mass_admissible(0, 2.0)
+        with pytest.raises(ValueError):
+            point_mass_admissible(2, 1.0)
 
 
 class TestAdmissibility:

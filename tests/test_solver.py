@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -148,8 +150,9 @@ class TestKappaStar:
         est = estimate_kappa_star(K_line, Pmu2, 3.0, bracket=(0.3, 1.5))
         assert est.lower <= np.sqrt(2.0) / 2.0 <= est.upper
 
-    # at 200 the probe at 1.4140625 reaches the cap and the increment tail
-    # classifies it; at 2000 a supersolution certificate stops it after 256
+    # the probe at 1.4140625 starts from the state certified at 1.40625, and
+    # a supersolution certificate stops it after 40 iterations, inside
+    # either cap (from Pmu it took 256, past the 200 cap)
     @pytest.mark.parametrize("max_iter", [200, 2000])
     def test_one_monotone_run_per_evaluation(self, K_line, Pmu_line,
                                              monkeypatch, max_iter):
@@ -165,6 +168,45 @@ class TestKappaStar:
         assert len(calls) == est.evaluations
         assert set(calls) == {(max_iter, True)}
         assert (est.lower, est.upper) == (1.4140625, 1.421875)
+
+    def test_capped_probes_are_classified_by_their_tail(self, K_line,
+                                                       Pmu_line):
+        # the two probes next to sqrt(2) need 35 and 40 steps: at a cap of
+        # 30 the increment tail decides them, in the same direction
+        est = estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5),
+                                  max_iter=30)
+        assert (est.lower, est.upper) == (1.4140625, 1.421875)
+        assert [outcome for _, outcome, _ in est.probes[-2:]] == ["tail"] * 2
+
+    def test_probe_record(self, K_line, Pmu_line, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return psi(*args)
+        psi = solver.psi_map
+        monkeypatch.setattr(solver, "psi_map", counted)
+        est = estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5))
+        assert est.fixed_point_maps == len(calls)
+        assert len(est.probes) == est.evaluations
+        # each probe's maps are the run of psi_map calls at its kappa
+        assert [maps for _, _, maps in est.probes] == [
+            sum(1 for _ in group) for _, group in itertools.groupby(calls)]
+        assert {outcome for _, outcome, _ in est.probes} <= {
+            "certified", "converged", "diverged", "tail"}
+        kappas = {outcome: [k for k, o, _ in est.probes if o == outcome]
+                  for outcome in ("certified", "diverged")}
+        assert max(kappas["certified"]) == est.lower
+        assert min(kappas["diverged"]) == est.upper
+
+    def test_near_threshold_probe_makes_fewer_maps(self, K_line, Pmu_line):
+        # 288 maps at 1.4140625 from Pmu with the candidate widened 1 %
+        # above the extrapolated limit (256 iterations, 32 checks), 473 in
+        # the whole bisection
+        est = estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5))
+        maps = {kappa: n for kappa, _, n in est.probes}
+        assert maps[1.4140625] < 288
+        assert est.fixed_point_maps <= 200
 
     def test_bad_brackets(self, K_line, Pmu_line):
         with pytest.raises(BracketError):
@@ -229,6 +271,37 @@ class TestSupersolutionCertificate:
             assert certified
             for kappa in certified:
                 assert runs[kappa].converged
+
+    def test_warm_starts_lie_below_the_minimal_solution(self, problems,
+                                                        monkeypatch):
+        # a probe may start from the last iterate of a converging probe at a
+        # smaller kappa' >= 1, never from one below 1; that start lies at or
+        # below the minimal solution that monotone_iterate reaches from Pmu
+        runs = []
+
+        def spy(kappa, *args, start=None, **kwargs):
+            out = iterate(kappa, *args, start=start, **kwargs)
+            runs.append((kappa, start, out))
+            return out
+        iterate = solver._iterate
+        monkeypatch.setattr(solver, "_iterate", spy)
+        warm = 0
+        for K, Pmu, p, bracket in problems:
+            runs.clear()
+            estimate_kappa_star(K, Pmu, p, bracket=bracket, tol=1e-3)
+            for kappa, start, _ in runs:
+                if start is None:
+                    continue
+                warm += 1
+                source = [(k, out[0]) for k, _, out in runs
+                          if out[1] is start]
+                assert len(source) == 1
+                k_source, status = source[0]
+                assert 1.0 <= k_source < kappa and status != "diverged"
+                cold = monotone_iterate(kappa, K, Pmu, p)
+                if cold.converged:
+                    assert np.all(start <= cold.solution.values)
+        assert warm
 
     def test_no_certificate_above_the_threshold(self):
         # kappa = 1.5 > sqrt(2): no step of the diverging run passes the
