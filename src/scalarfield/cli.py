@@ -23,13 +23,13 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .continuation import (NoMinimalSolutionError, detect_fold,
                            trace_branch)
 from .discretization import build_grid
 from .exponents import check_admissible, critical_exponents
+from .kernels import _scipy_attr
 from .operators import (DegenerateLinearizationError, IterationLimitError,
                         assemble_green, check_memory_budget,
                         linearized_spectrum, poisson_trace)
@@ -179,7 +179,8 @@ def _write_summary(out_dir, command, cfg, results):
         "versions": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # scipy/version.py run alone: no command imports scipy itself
+            "scipy": _scipy_attr("version", "version", "version"),
             "scalarfield": __version__,
         },
     }
@@ -309,6 +310,14 @@ def _cmd_kappa_star(cfg) -> int:
                "fixed_point_maps": est.fixed_point_maps,
                "probes": [list(probe) for probe in est.probes]}
     _write_summary(_output_dir(cfg), "kappa-star", cfg, results)
+    tails = [repr(kappa) for kappa, outcome, _ in est.probes if outcome == "tail"]
+    if tails:
+        # a short increment tail cannot tell slow divergence from slow
+        # convergence, so the bracket rests on a guess
+        print(f"kappa-star: probes at kappa = {', '.join(tails)} reached "
+              f"solver.max_iter = {solv['max_iter']} and were decided by "
+              "their increment tail; the bracket is not certified (raise "
+              "solver.max_iter)", file=sys.stderr)
     return 0
 
 

@@ -18,28 +18,73 @@ distances equal rho there and the chain-rule factors add up to -2 x_N / rho.)
 For N = 1 this collapses to P(x) = exp(-x); for N = 3 to
 x_N (1 + rho) exp(-rho) / (2 pi rho^3).
 
-Only N = 2 needs a special function: K0/K1 come from scipy.special, which
-`bessel_k0`/`bessel_k1` import on their first call, so an N = 1 or N = 3
-command never loads it.  The tests check them independently, against the
-Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
+Only N = 2 needs a special function: K0/K1 are SciPy's, taken on the
+first call of `bessel_k0`/`bessel_k1` from the extension module
+scipy.special._special_ufuncs alone (see `_scipy_module`), so no command
+imports the scipy.special package.  The tests check them independently,
+against the Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
+
+
+@functools.cache
+def _scipy_module(name: str):
+    """The module scipy.<name>, run from its own file without running the
+    __init__ of scipy or of its subpackage; None if that fails.
+
+    Importing scipy.special or scipy.linalg runs scipy/__init__.py, whose
+    array API layer loads numpy.f2py, numpy.testing, numpy.ma and
+    numpy.random besides much of SciPy; the extension modules holding
+    LAPACK and K0/K1 need only NumPy.  A module already imported is
+    returned as it is.
+    """
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    try:
+        *package, _ = name.split(".")
+        path = [os.path.join(root, *package) for root in
+                importlib.util.find_spec("scipy").submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(full, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:   # a moved file or a failing init: use the public route
+        return None
+    return module
+
+
+@functools.cache
+def _scipy_attr(private: str, public: str, name: str):
+    """SciPy's `name` from scipy.<private> loaded by `_scipy_module`, or
+    from the public module scipy.<public> if that load fails or lacks it."""
+    value = getattr(_scipy_module(private), name, None)
+    if value is None:
+        value = getattr(importlib.import_module(f"scipy.{public}"), name)
+    return value
+
+
+# a special function by name: k0, k1
+_special = functools.partial(_scipy_attr, "special._special_ufuncs", "special")
 
 
 # Keep these names: fundamental_E/dE call them, and perfbench wraps them here.
 def bessel_k0(x):
     """Modified Bessel function K0, elementwise."""
-    from scipy import special
-    return special.k0(x)
+    return _special("k0")(x)
 
 
 def bessel_k1(x):
     """Modified Bessel function K1, elementwise."""
-    from scipy import special
-    return special.k1(x)
+    return _special("k1")(x)
 
 
 _TWO_PI = 2.0 * np.pi

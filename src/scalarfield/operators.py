@@ -16,8 +16,9 @@ the two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
 Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
 default grids; no adaptive quadrature is left in this module.  `lu_factor` /
 `lu_solve` are the package's only factorization of the Jacobian `jacobian`
-returns for either operator; they load LAPACK from SciPy on their first
-call, so a command that factorizes nothing imports no `scipy.linalg`.
+returns for either operator; they take SciPy's LAPACK wrappers on their
+first call from the extension module scipy.linalg._flapack alone (see
+`kernels._scipy_module`), so no command imports the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Field, Grid
-from .kernels import fundamental_E, poisson_P
+from .kernels import _scipy_attr, fundamental_E, poisson_P
 
 MAX_MATRIX_BYTES = 4 * 2 ** 30
 # length-n float64 vectors a half-line command holds at once besides the
@@ -44,6 +45,8 @@ _JACOBIAN_COLUMNS = 64
 # largest height span of one chunk of the N = 1 matvec: its scaled
 # exponentials stay within e^{+-300}, far inside float64's e^{+-709}
 _CHUNK_SPAN = 300.0
+# a LAPACK wrapper by name: dgttrf, dgttrs, dgetrf, dgetrs
+_lapack = functools.partial(_scipy_attr, "linalg._flapack", "linalg.lapack")
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
@@ -106,18 +109,17 @@ class KernelMatrix:
 
 def _tridiagonal_factors(lower, diag, upper):
     """LAPACK gttrf factors of a tridiagonal matrix; overwrites its bands."""
-    from scipy.linalg.lapack import dgttrf
     if diag.size == 2:
         # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit row
         lower, upper = np.append(lower, 0.0), np.append(upper, 0.0)
         diag = np.append(diag, 1.0)
-    *factors, _ = dgttrf(lower, diag, upper, overwrite_dl=1, overwrite_d=1,
-                         overwrite_du=1)
+    *factors, _ = _lapack("dgttrf")(lower, diag, upper, overwrite_dl=1,
+                                    overwrite_d=1, overwrite_du=1)
     return tuple(factors)
 
 
 def _tridiagonal_solve(factors, b, trans="N"):
-    from scipy.linalg.lapack import dgttrs
+    dgttrs = _lapack("dgttrs")
     n = b.size
     if factors[1].size > n:
         return dgttrs(*factors, np.append(b, 0.0), trans=trans)[0][:n]
@@ -634,8 +636,7 @@ def lu_factor(J):
     if isinstance(J, TridiagonalJacobian):
         return _TridiagonalLU(J.green, _tridiagonal_factors(J.lower, J.diag,
                                                             J.upper))
-    from scipy.linalg.lapack import dgetrf
-    lu, piv, _ = dgetrf(J, overwrite_a=1)
+    lu, piv, _ = _lapack("dgetrf")(J, overwrite_a=1)
     return lu, piv
 
 
@@ -643,8 +644,7 @@ def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve J x = b (trans=0) or J^T x = b (trans=1) with lu_factor's result."""
     if isinstance(lu, _TridiagonalLU):
         return lu.solve(b, trans)
-    from scipy.linalg.lapack import dgetrs
-    return dgetrs(*lu, b, trans=trans)[0]
+    return _lapack("dgetrs")(*lu, b, trans=trans)[0]
 
 
 def smallest_singular_value(J) -> float:

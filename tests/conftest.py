@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from scalarfield import assemble_green, build_grid, poisson_trace
-from scalarfield.operators import _assemble_dense
+from scalarfield.kernels import _special
+from scalarfield.operators import _assemble_dense, _lapack
 
 
 @pytest.fixture(scope="session")
@@ -41,11 +42,13 @@ def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
     counted by tracemalloc, which sees every NumPy buffer.
 
-    scalarfield imports scipy.special and scipy.linalg on first use; they
-    are imported here first, so their one-time module state is not counted
-    as arrays the call holds."""
-    import scipy.linalg  # noqa: F401
-    import scipy.special  # noqa: F401
+    scalarfield loads SciPy's LAPACK and K0/K1 extension modules on first
+    use; its loader is run here first, so their one-time module state is
+    not counted as arrays the call holds."""
+    for name in ("dgttrf", "dgttrs", "dgetrf", "dgetrs"):
+        _lapack(name)
+    for name in ("k0", "k1"):
+        _special(name)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

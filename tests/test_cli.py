@@ -140,9 +140,10 @@ class TestCommands:
             (tmp_path / "out" / "summary.json").read_text())
         assert summary["results"]["status"] == "diverged"
 
-    def test_kappa_star_brackets_threshold(self, tmp_path):
+    def test_kappa_star_brackets_threshold(self, tmp_path, capsys):
         path = write_config(tmp_path, solver={"bracket": [0.5, 2.5]})
         assert run_command(["kappa-star", "--config", path]) == 0
+        assert capsys.readouterr().err == ""   # no probe left to the tail
         summary = json.loads(
             (tmp_path / "out" / "summary.json").read_text())
         est = summary["results"]["kappa_star"]
@@ -161,6 +162,32 @@ class TestCommands:
         assert probes[:2] == [[0.5, "converged", 8], [2.5, "diverged", 6]]
         assert run_command(["kappa-star", "--config", path]) == 0
         assert out.read_bytes() == first
+
+    def test_kappa_star_warns_of_tail_probes(self, tmp_path, capsys):
+        # on the 1000-node half line a 12-step cap leaves four probes to the
+        # increment tail, and the bracket misses kappa* = sqrt(2)
+        path = write_config(tmp_path, grid={**FAST_GRID, "nodes_height": 1000},
+                            solver={"bracket": [0.5, 2.5], "max_iter": 12})
+        assert run_command(["kappa-star", "--config", path]) == 0
+        results = json.loads(
+            (tmp_path / "out" / "summary.json").read_text())["results"]
+        assert results["kappa_star"]["lower"] == 1.4375
+        assert results["kappa_star"]["upper"] == 1.4453125
+        tails = [kappa for kappa, outcome, _ in results["probes"]
+                 if outcome == "tail"]
+        assert tails == [1.5, 1.4375, 1.453125, 1.4453125]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["kappa-star: probes at kappa = 1.5, 1.4375, 1.453125, "
+                       "1.4453125 reached solver.max_iter = 12 and were "
+                       "decided by their increment tail; the bracket is not "
+                       "certified (raise solver.max_iter)"]
+
+    def test_summary_names_the_scipy_version(self, tmp_path):
+        import scipy
+        path = write_config(tmp_path)
+        assert run_command(["solve", "--config", path]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["versions"]["scipy"] == scipy.__version__
 
     def test_eigen_reports_stability(self, tmp_path):
         path = write_config(tmp_path)

@@ -1,5 +1,6 @@
-"""Every package module uses each name it imports, and the CLI imports
-no SciPy subpackage it does not use."""
+"""Every package module uses each name it imports, and the CLI loads only
+the SciPy extension modules a command calls, never the scipy, scipy.linalg
+or scipy.special packages."""
 
 import ast
 import json
@@ -38,24 +39,31 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def loaded_after(code: str, modules, *args: str) -> list[str]:
-    """Those of `modules` in sys.modules once `code` has run in a fresh
-    process (args become sys.argv[1:])."""
-    probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {tuple(modules)!r} "
-             "if m in sys.modules]))")
+def run_fresh(code: str, *args: str) -> str:
+    """The last line `code` prints in a fresh process (args become
+    sys.argv[1:])."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return out.splitlines()[-1]
+
+
+def loaded_after(code: str, *args: str) -> list[str]:
+    """The SciPy modules in sys.modules once `code` has run in a fresh
+    process."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')))")
+    return json.loads(run_fresh(probe, *args))
 
 
 def test_cli_loads_no_quadrature_or_solver_subpackages():
     # scipy.integrate alone pulls in scipy.optimize, scipy.sparse and more;
     # LAPACK and the Bessel functions load only where a command calls them
-    assert loaded_after("import scalarfield.cli", (
-        "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special",
-        "scipy.linalg")) == []
+    assert loaded_after("import scalarfield.cli") == []
+
+
+FLAPACK, SPECIAL = "scipy.linalg._flapack", "scipy.special._special_ufuncs"
 
 
 @pytest.mark.parametrize("N, command, loaded", [
@@ -63,20 +71,82 @@ def test_cli_loads_no_quadrature_or_solver_subpackages():
     (1, "eigen", []),
     (1, "kappa-star", []),
     (1, "verify", []),
-    (1, "branch", ["scipy.linalg"]),
-    (2, "solve", ["scipy.special"]),
+    (1, "branch", [FLAPACK]),
+    (2, "solve", [SPECIAL]),
+    (2, "eigen", [SPECIAL]),
+    (2, "kappa-star", [SPECIAL]),
+    (2, "verify", [SPECIAL]),
+    (2, "branch", [FLAPACK, SPECIAL]),
 ])
 def test_command_loads_only_what_it_calls(tmp_path, N, command, loaded):
     # N = 1 kernels are exponentials and its matvec two cumulative sums;
-    # only factorizing a Jacobian needs LAPACK, only N = 2 needs K0/K1
-    grid = ({"nodes_height": 300} if N == 1
-            else {"nodes_lateral": 8, "nodes_height": 10})
+    # only factorizing a Jacobian needs LAPACK, only N = 2 needs K0/K1.  Each
+    # comes from its extension module alone: no command imports the scipy,
+    # scipy.linalg or scipy.special packages
+    cfg = {"problem": {"N": N}, "grid": {"nodes_height": 300},
+           "continuation": {"max_points": 12}, "output_dir": str(tmp_path)}
+    if N == 2:
+        # kappa* is near 15 on this coarse grid
+        cfg.update(grid={"nodes_lateral": 8, "nodes_height": 10},
+                   solver={"bracket": [0.5, 30.0]})
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "problem": {"N": N}, "grid": grid,
-        "continuation": {"max_points": 12}, "output_dir": str(tmp_path)}))
+    config.write_text(json.dumps(cfg))
     run = ("import sys\nfrom scalarfield.cli import run_command\n"
            "assert run_command(sys.argv[1:]) == 0")
-    suite = ["--suite", "all"] if command == "verify" else []
-    assert loaded_after(run, ("scipy.special", "scipy.linalg"), command,
-                        "--config", str(config), *suite) == loaded
+    suite = (["--suite", "all" if N == 1 else "kernels"]
+             if command == "verify" else [])
+    assert loaded_after(run, command, "--config", str(config),
+                        *suite) == loaded
+
+
+def test_direct_load_gives_scipys_own_functions():
+    # the extension modules loaded alone are the ones a later public import
+    # of scipy.linalg.lapack and scipy.special finds and exposes
+    code = """
+from scalarfield.kernels import _special
+from scalarfield.operators import _lapack
+loaded = {name: _lapack(name) for name in ("dgttrf", "dgttrs", "dgetrf", "dgetrs")}
+loaded.update((name, _special(name)) for name in ("k0", "k1"))
+import sys
+assert "scipy.linalg" not in sys.modules and "scipy.special" not in sys.modules
+import scipy.linalg.lapack, scipy.special
+print(sorted(name for name, f in loaded.items()
+             if f is getattr(scipy.linalg.lapack, name, None)
+             or f is getattr(scipy.special, name, None)))
+"""
+    assert run_fresh(code) == str(sorted(
+        ["dgttrf", "dgttrs", "dgetrf", "dgetrs", "k0", "k1"]))
+
+
+FALLBACK = """
+import importlib.util, sys, types
+import numpy as np
+from scalarfield import kernels
+if sys.argv[1] == "no-file":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = (
+        lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+elif sys.argv[1] == "no-attribute":
+    kernels._scipy_module = types.ModuleType
+from scalarfield.operators import _tridiagonal_factors, _tridiagonal_solve
+n = 50
+factors = _tridiagonal_factors(np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
+                               np.full(n - 1, -0.5))
+x = np.concatenate([_tridiagonal_solve(factors, np.linspace(-1.0, 2.0, n),
+                                       trans) for trans in "NT"])
+k0 = kernels.bessel_k0(np.geomspace(1e-3, 40.0, 1000))
+public = sorted(m for m in ("scipy.linalg.lapack", "scipy.special")
+                if m in sys.modules)
+print(",".join(public) or "-", x.tobytes().hex(), k0.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("failure", ["no-file", "no-attribute"])
+def test_public_fallback_gives_the_same_bytes(failure):
+    # where the file route fails, the public modules serve the same LAPACK
+    # and K0
+    direct = run_fresh(FALLBACK, "direct").split()
+    fallback = run_fresh(FALLBACK, failure).split()
+    assert direct[0] == "-"
+    assert fallback[0] == "scipy.linalg.lapack,scipy.special"
+    assert fallback[1:] == direct[1:]
