@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -348,25 +349,27 @@ def _cmd_branch(cfg) -> int:
                                fields=cont["max_points"] + 1)
     prob, exps = cfg["problem"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
-                          step=cont["step"], max_points=cont["max_points"],
-                          norm_q=exps["q"], norm_alpha=exps["alpha"])
+                          step=cont["step"], max_points=cont["max_points"])
     out_dir = _output_dir(cfg)
     pts = branch.points
-    columns = [[getattr(pt, name) for pt in pts] for name in
-               ("kappa", "sup_norm", "lq_alpha_norm", "lambda_", "arclength",
-                "fold_flag")]
+    lambdas = [pt.lambda_ for pt in pts]
+    columns = [[pt.kappa for pt in pts],
+               [pt.field.sup_norm() for pt in pts],
+               [pt.field.norm(exps["q"], exps["alpha"]) for pt in pts],
+               lambdas,
+               [pt.arclength for pt in pts],
+               [i == branch.fold_index for i in range(len(pts))]]
     _write_csv(os.path.join(out_dir, "branch.csv"),
                [np.arange(len(pts))] + columns, BRANCH_CSV_HEADER,
                fmt=["%d"] + [FLOAT_FMT] * 5 + ["%d"])
     results = {"points": len(pts), "fold_index": branch.fold_index}
-    lambdas = [pt.lambda_ for pt in pts]
     crossing = next((i for i in range(len(lambdas) - 1)
                      if (lambdas[i] - 1.0) * (lambdas[i + 1] - 1.0) < 0.0), None)
     results["lambda_crossing_index"] = crossing
     if branch.fold_index is not None:
         kappa_fold, fold_pt = detect_fold(branch)
         results["fold"] = {"kappa": kappa_fold, "lambda": fold_pt.lambda_,
-                           "sup_norm": fold_pt.sup_norm}
+                           "sup_norm": fold_pt.field.sup_norm()}
     # tracing and fold detection together
     results["corrector_steps"] = branch.stepper.corrector_steps
     results["factorizations"] = branch.stepper.factorizations
@@ -414,7 +417,10 @@ def _cmd_verify(cfg, suite: str) -> int:
     return 0 if results["all_passed"] else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    `run_command` call in the process."""
     ap = argparse.ArgumentParser(
         prog="scalarfield",
         description="Half-space semilinear problem: solve, thresholds, "

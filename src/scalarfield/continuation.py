@@ -2,12 +2,12 @@
 
 The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
 past the fold where the minimal and the second branch meet.  The Jacobian
-is factorized at each accepted point, where it gives the tangent; a chord
-Newton corrector then solves the bordered system with that factorization,
-one triangular solve per iteration.  When the Green operator's
-`factorization_cost` is under the iterations left, the corrector instead
-refactorizes at every iterate after the first (bordered Newton): the O(n)
-N = 1 operator does, a dense one never does.
+is factorized at each accepted point, where it gives the tangent.  The
+corrector solves the bordered system with one factorized Jacobian at a
+time, one triangular solve per iteration: the accepted point's (a chord),
+or, when the Green operator's `factorization_cost` is under the iterations
+left, a fresh one at every iterate after the first (bordered Newton).  The
+O(n) N = 1 operator refactorizes, a dense one never does.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ class NoMinimalSolutionError(ValueError):
 class BranchPoint:
     kappa: float
     field: Field
-    sup_norm: float
-    lq_alpha_norm: float
     lambda_: float        # stability margin; > 1 on the minimal branch
     arclength: float
-    fold_flag: bool
 
 
 class _Stepper:
@@ -83,60 +80,53 @@ class _Stepper:
         return lu, du, dk
 
     def correct(self, u_prev: np.ndarray, kappa_prev: float, tang, ds: float):
-        """Chord Newton from the predictor at arclength ds back onto the branch.
+        """Newton from the predictor at arclength ds back onto the branch.
 
         tang = (lu, du, dk) comes from tangent() at (u_prev, kappa_prev).
-        With the unit tangent (du_J, dk_J) at the factorized Jacobian J, the
-        bordered step is the solve a = J^{-1} F plus a multiple t of that
-        tangent, t = (<du, a> - c) / (<du, du_J> + dk dk_J); while J is the
-        one at u_prev, (du_J, dk_J) = (du, dk) and the denominator is 1.
-        From the second iterate on, J is refactorized at each iterate when
-        one factorization costs fewer chord steps (`factorization_cost`)
-        than the iterations left.  A residual above the previous one after
-        a refactorization ends the correction: Newton has left its basin,
-        and a shorter step does better.  Returns (u, kappa, tangent
-        oriented along (du, dk)) at the corrected point, or None if the
-        correction fails or a Jacobian is singular.
+        Each iterate takes one bordered step with the factorized Jacobian J
+        and its unit tangent (du_J, dk_J): the solve a = J^{-1} F plus the
+        multiple t = (<du, a> - c) / (<du, du_J> + dk dk_J) of that tangent.
+        J starts as tang, where the denominator is exactly 1 and is not
+        formed (a chord).  From the second iterate on, J is refactorized at
+        each iterate when one factorization costs fewer chord steps
+        (`factorization_cost`) than the iterations left.  A residual above
+        the previous one after a refactorization ends the correction:
+        Newton has left its basin, and a shorter step does better.  Returns
+        (u, kappa, tangent oriented along (du, dk)) at the corrected point,
+        or None if the correction fails or a Jacobian is singular.
         """
         lu, du, dk = tang
+        lu_J, du_J, dk_J = tang     # the factorized point, here a chord
         cost = self.K.factorization_cost
-        fresh = None            # (lu, du_J, dk_J) factorized at an iterate
         last = math.inf         # residual at the previous iterate
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
-        for it in range(_CORRECTOR_ITERS):
-            F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
-            c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
-            F_sup = float(np.max(np.abs(F)))
-            if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
-                fresh = None    # K, the caller's LU and the new J stay alive
-                try:
+        try:
+            for it in range(_CORRECTOR_ITERS):
+                F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
+                c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
+                F_sup = float(np.max(np.abs(F)))
+                if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
+                    lu_J = None     # K, the caller's LU and the new J stay alive
                     return u, kappa, self.tangent(u, (du, dk))
-                except FloatingPointError:
+                residual = max(F_sup, abs(c))
+                if lu_J is not lu and residual > last:
                     return None
-            residual = max(F_sup, abs(c))
-            if fresh is not None and residual > last:
-                return None
-            last = residual
-            if it > 0 and cost < _CORRECTOR_ITERS - it:
-                fresh = None    # dropped before the next J forms
-                try:
-                    fresh = self.tangent(u, (du, dk))
-                except FloatingPointError:
-                    return None
-            self.corrector_steps += 1
-            with np.errstate(all="ignore"):
-                a = lu_solve(lu if fresh is None else fresh[0], F)
-            if fresh is None:
+                last = residual
+                if it > 0 and cost < _CORRECTOR_ITERS - it:
+                    lu_J = None     # dropped before the next J forms
+                    lu_J, du_J, dk_J = self.tangent(u, (du, dk))
+                self.corrector_steps += 1
+                with np.errstate(all="ignore"):
+                    a = lu_solve(lu_J, F)
                 t = self._dot(du, a) - c
-                u = u - a + t * du
-                kappa = kappa + t * dk
-            else:
-                du_J, dk_J = fresh[1:]     # no second name for its LU
-                t = (self._dot(du, a) - c) / (self._dot(du, du_J) + dk * dk_J)
+                if lu_J is not lu:
+                    t /= self._dot(du, du_J) + dk * dk_J
                 u = u - a + t * du_J
                 kappa = kappa + t * dk_J
-            if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
-                return None
+                if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
+                    return None
+        except FloatingPointError:
+            return None
         return None
 
 
@@ -145,26 +135,21 @@ class Branch:
     points: list[BranchPoint]
     fold_index: int | None
     stepper: _Stepper
-    norm_q: float
-    norm_alpha: float
 
     @property
     def kappas(self) -> np.ndarray:
         return np.array([pt.kappa for pt in self.points])
 
 
-def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float, s: float,
-                norm_q: float, norm_alpha: float, fold_flag: bool) -> BranchPoint:
+def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float,
+                s: float) -> BranchPoint:
     f = Field(stepper.K.grid, u)
     eig = linearized_spectrum(stepper.K, f, stepper.p)
-    return BranchPoint(kappa=kappa, field=f, sup_norm=f.sup_norm(),
-                       lq_alpha_norm=f.norm(norm_q, norm_alpha),
-                       lambda_=eig.lambda_, arclength=s, fold_flag=fold_flag)
+    return BranchPoint(kappa=kappa, field=f, lambda_=eig.lambda_, arclength=s)
 
 
 def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
-                 step: float = 0.05, max_points: int = 200,
-                 norm_q: float = 4.0, norm_alpha: float = 0.0) -> Branch:
+                 step: float = 0.05, max_points: int = 200) -> Branch:
     """Trace the branch from the minimal solution at start_kappa past the fold.
 
     Stops at max_points, when kappa drops back below start_kappa after the
@@ -182,7 +167,7 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
     kappa, s = start_kappa, 0.0
     tang = stepper.tangent(u, None)
 
-    points = [_make_point(stepper, u, kappa, s, norm_q, norm_alpha, False)]
+    points = [_make_point(stepper, u, kappa, s)]
     fold_index = None
     ds = min(step, _STEP_MAX)
     successes = 0
@@ -195,20 +180,17 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
                 break
             continue
         s += ds
-        crossed = fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0
+        if fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0:
+            fold_index = len(points)    # the point appended next
         u, kappa, tang = result
-        points.append(_make_point(stepper, u, kappa, s,
-                                  norm_q, norm_alpha, crossed))
-        if crossed:
-            fold_index = len(points) - 1
+        points.append(_make_point(stepper, u, kappa, s))
         successes += 1
         if successes >= 3:
             ds = min(ds * _STEP_GROW, _STEP_MAX, step * 4.0)
             successes = 0
         if fold_index is not None and kappa < start_kappa:
             break
-    return Branch(points=points, fold_index=fold_index, stepper=stepper,
-                  norm_q=norm_q, norm_alpha=norm_alpha)
+    return Branch(points=points, fold_index=fold_index, stepper=stepper)
 
 
 def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
@@ -242,9 +224,7 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
         u, kappa, tang_new = result
         slope = (tang_new[2] - tang[2]) / ds
         tang = tang_new
-    fold_pt = _make_point(stepper, u, kappa, pt.arclength,
-                          branch.norm_q, branch.norm_alpha, True)
-    return kappa, fold_pt
+    return kappa, _make_point(stepper, u, kappa, pt.arclength)
 
 
 def solutions_at_kappa(branch: Branch, kappa: float) -> list[Field]:

@@ -170,7 +170,6 @@ class KappaStarEstimate:
 
     lower: float      # largest kappa observed to converge
     upper: float      # smallest kappa observed to diverge
-    evaluations: int = 0
     # (kappa, outcome, psi_map calls) per probe, in probing order; the
     # outcome is "certified", "converged", "diverged" or "tail"
     probes: tuple[tuple[float, str, int], ...] = ()
@@ -182,6 +181,10 @@ class KappaStarEstimate:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.probes)
 
     @property
     def fixed_point_maps(self) -> int:
@@ -199,9 +202,12 @@ def _classify(kappa: float, K: GreenOperator, Pmu: Field, p: float,
     if status != "iteration_limit":
         return status, status != "diverged", last, maps
     # very slow dynamics near the threshold: a contracting increment tail
-    # means the iteration is still headed for a fixed point
+    # means the iteration is still headed for a fixed point; a tail of
+    # fewer than two increments shows no trend, so no solution
     tail = np.array(increments[-10:])
-    return "tail", float(np.mean(tail[1:] / tail[:-1])) < 1.0, last, maps
+    contracting = (tail.size >= 2
+                   and float(np.mean(tail[1:] / tail[:-1])) < 1.0)
+    return "tail", contracting, last, maps
 
 
 def estimate_kappa_star(K: GreenOperator, Pmu: Field, p: float,
@@ -243,5 +249,4 @@ def estimate_kappa_star(K: GreenOperator, Pmu: Field, p: float,
             lo = mid
         else:
             hi = mid
-    return KappaStarEstimate(lower=lo, upper=hi, evaluations=len(probes),
-                             probes=tuple(probes))
+    return KappaStarEstimate(lower=lo, upper=hi, probes=tuple(probes))

@@ -163,6 +163,21 @@ class TestCommands:
         assert run_command(["kappa-star", "--config", path]) == 0
         assert out.read_bytes() == first
 
+    def test_kappa_star_one_step_probe_fails_on_one_line(self, tmp_path):
+        # one increment shows no trend: the lower end is not taken to
+        # converge, and no NumPy warning reaches stderr
+        path = write_config(tmp_path, solver={"bracket": [0.5, 2.5],
+                                              "max_iter": 1})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(scalarfield.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalarfield.cli", "kappa-star",
+             "--config", path], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "kappa-star: lower bracket end kappa=0.5 does not converge"]
+
     def test_kappa_star_warns_of_tail_probes(self, tmp_path, capsys):
         # on the 1000-node half line a 12-step cap leaves four probes to the
         # increment tail, and the bracket misses kappa* = sqrt(2)
@@ -530,11 +545,27 @@ class TestExitCodes:
 
         def spy(*args, **kwargs):
             seen.update(kwargs)
-            return KappaStarEstimate(lower=1.0, upper=2.0, evaluations=2)
+            return KappaStarEstimate(lower=1.0, upper=2.0,
+                                     probes=((1.0, "converged", 1),
+                                             (2.0, "diverged", 1)))
         monkeypatch.setattr(cli, "estimate_kappa_star", spy)
         path = write_config(tmp_path, solver={"max_iter": 1234})
         assert run_command(["kappa-star", "--config", path]) == 0
         assert seen["max_iter"] == 1234
+
+    def test_calls_share_one_parser(self, capsys):
+        # built by the first call, parsed again by the rest, each with its
+        # own exit code
+        cli._parser.cache_clear()
+        assert run_command(["--help"]) == 0
+        assert run_command(["exponents", "--N", "3"]) == 2
+        assert run_command(["exponents", "--N", "3", "--p", "5"]) == 0
+        assert run_command(["solve", "--help"]) == 0
+        assert run_command(["frobnicate"]) == 2
+        assert cli._parser.cache_info().misses == 1
+        out, err = capsys.readouterr()
+        assert "usage: scalarfield" in out and "p_sobolev" in out
+        assert "required: --p" in err and "invalid choice" in err
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(scalarfield.__file__))

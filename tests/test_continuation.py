@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
 from scalarfield import continuation
+from scalarfield.cli import OUTPUT_DIR_ENV, run_command
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
@@ -19,12 +22,21 @@ def branch(K_line, Pmu_line):
 
 
 class TestTraceBranch:
-    def test_passes_the_fold(self, branch):
+    def test_passes_the_fold(self, branch, tmp_path, monkeypatch):
         assert branch.fold_index is not None
         assert np.max(branch.kappas) == pytest.approx(np.sqrt(2.0), abs=2e-3)
-        flags = [pt.fold_flag for pt in branch.points]
+        # the CLI's branch.csv flags the fold point of the same trace, and
+        # no other
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"H": 20.0, "nodes_height": 1000,
+                                               "grading": 2.0}}))
+        assert run_command(["branch", "--config", str(config)]) == 0
+        rows = (tmp_path / "branch.csv").read_text().splitlines()
+        flags = [int(row.split(",")[-1]) for row in rows[1:]]
+        assert len(flags) == len(branch.points)
         assert sum(flags) == 1
-        assert flags.index(True) == branch.fold_index
+        assert flags.index(1) == branch.fold_index
 
     def test_kappa_rises_then_falls(self, branch):
         i = int(np.argmax(branch.kappas))
@@ -42,10 +54,10 @@ class TestTraceBranch:
 
     def test_sup_norm_grows_then_saturates(self, branch):
         # past the fold the interior peak reaches the cap sqrt(2)
-        sup = np.array([pt.sup_norm for pt in branch.points])
+        sup = np.array([pt.field.sup_norm() for pt in branch.points])
         assert np.all(np.diff(sup[:branch.fold_index + 1]) > 0.0)
         assert sup[-1] == pytest.approx(np.sqrt(2.0), abs=1e-3)
-        norms = np.array([pt.lq_alpha_norm for pt in branch.points])
+        norms = np.array([pt.field.norm(4.0, 0.0) for pt in branch.points])
         assert np.all(np.diff(norms) > 0.0)
 
     def test_points_solve_the_fixed_point_equation(self, K_line, Pmu_line,
@@ -196,7 +208,6 @@ class TestDetectFold:
         exact = np.sqrt(2.0) / np.cosh(grid_line.heights)
         assert np.max(np.abs(pt.field.values - exact)) <= 5e-3
         assert pt.lambda_ == pytest.approx(1.0, abs=2e-2)
-        assert pt.fold_flag
 
     def test_failed_correction_returns_the_max_kappa_point(self, branch,
                                                           monkeypatch):

@@ -178,6 +178,13 @@ class TestKappaStar:
         assert (est.lower, est.upper) == (1.4140625, 1.421875)
         assert [outcome for _, outcome, _ in est.probes[-2:]] == ["tail"] * 2
 
+    def test_one_step_probe_has_no_trend(self, K_line, Pmu_line):
+        # a single increment is no contracting tail, and it takes no mean
+        # of an empty ratio array (a RuntimeWarning, an error here)
+        with pytest.raises(BracketError, match="lower bracket end"):
+            estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(0.5, 2.5),
+                                max_iter=1)
+
     def test_probe_record(self, K_line, Pmu_line, monkeypatch):
         calls = []
 

@@ -2,9 +2,9 @@
 
 The benchmark's traced pass looks the layer functions up by name, so a
 refactor that renames or stops calling one of them breaks that pass; this
-test reports it here first.  It runs `solve` and a 12-point `branch` on a
-300-node half-line grid under the tracer, in a fresh process, and checks the
-same invariants as the benchmark's self-checks.
+test reports it here first.  It runs `solve`, a `branch` through the fold and
+`kappa-star` on a 300-node half-line grid under the tracer, in a fresh
+process, and checks the same invariants as the benchmark's self-checks.
 """
 
 import json
@@ -25,14 +25,13 @@ from scalarfield.cli import run_command
 
 tracer = Tracer()
 tracer.install()
-out = {"codes": {}, "spans": {}}
-for command in ("solve", "branch"):
+out = {"codes": {}, "spans": {}, "results": {}}
+for command in ("solve", "branch", "kappa-star"):
     out["codes"][command] = run_command([command, "--config", sys.argv[2]])
     out["spans"][command] = tracer.snapshot()
-    if command == "solve":
-        with open(os.path.join(os.environ["SCALARFIELD_OUTPUT_DIR"],
-                               "summary.json")) as fh:
-            out["iterations"] = json.load(fh)["results"]["iterations"]
+    with open(os.path.join(os.environ["SCALARFIELD_OUTPUT_DIR"],
+                           "summary.json")) as fh:
+        out["results"][command] = json.load(fh)["results"]
 out["unwrapped"] = tracer.unwrapped_bindings()
 print(json.dumps(out))
 """
@@ -45,8 +44,7 @@ def test_traced_run_keeps_the_tracer_contract(tmp_path):
     finally:
         sys.path.remove(PERFBENCH)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid": {"nodes_height": 300},
-                                  "continuation": {"max_points": 12}}))
+    config.write_text(json.dumps({"grid": {"nodes_height": 300}}))
     env = dict(os.environ, PYTHONPATH=SRC,
                SCALARFIELD_OUTPUT_DIR=str(tmp_path / "out"))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, PERFBENCH,
@@ -55,12 +53,22 @@ def test_traced_run_keeps_the_tracer_contract(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
 
-    assert out["codes"] == {"solve": 0, "branch": 0}
+    assert out["codes"] == {"solve": 0, "branch": 0, "kappa-star": 0}
     assert out["unwrapped"] == []
-    # the snapshot after solve holds the solve command alone
+    results = out["results"]
+    # each snapshot holds the commands run so far
     solve = Spans(out["spans"]["solve"])
-    assert solve.count("solver.psi_map") == out["iterations"] + 1
+    assert solve.count("solver.psi_map") == results["solve"]["iterations"] + 1
     trace = "continuation.trace_branch"
     branch = Spans(out["spans"]["branch"])
     lus = branch.count("continuation.lu_factor", trace)
     assert lus == branch.count("operators.jacobian", trace) > 0
+    # branch.csv's lq_alpha_norm column, one weighted norm per point, and
+    # none for the fold point
+    assert "fold" in results["branch"]
+    norm = "discretization.weighted_norm"
+    assert (branch.count(norm) - solve.count(norm)
+            == results["branch"]["points"] > 0)
+    kappa_star = Spans(out["spans"]["kappa-star"])
+    assert (kappa_star.work("solver.estimate_kappa_star")
+            == results["kappa-star"]["kappa_star"]["evaluations"] > 0)
