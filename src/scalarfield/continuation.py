@@ -5,9 +5,9 @@ past the fold where the minimal and the second branch meet.  The Jacobian
 is factorized at each accepted point, where it gives the tangent.  The
 corrector solves the bordered system with one factorized Jacobian at a
 time, one triangular solve per iteration: the accepted point's (a chord),
-or, when the Green operator's `factorization_cost` is under the iterations
-left, a fresh one at every iterate after the first (bordered Newton).  The
-O(n) N = 1 operator refactorizes, a dense one never does.
+or, when the Green operator's `refactorize` is set, a fresh one at every
+iterate after the first (bordered Newton).  The O(n) N = 1 operator sets
+it; a dense one, whose LU costs more chord steps than a point takes, does not.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class _Stepper:
         multiple t = (<du, a> - c) / (<du, du_J> + dk dk_J) of that tangent.
         J starts as tang, where the denominator is exactly 1 and is not
         formed (a chord).  From the second iterate on, J is refactorized at
-        each iterate when one factorization costs fewer chord steps
-        (`factorization_cost`) than the iterations left.  A residual above
+        each iterate when the Green operator says `refactorize` (the O(n)
+        N = 1 operator; a dense one keeps the chord).  A residual above
         the previous one after a refactorization ends the correction:
         Newton has left its basin, and a shorter step does better.  Returns
         (u, kappa, tangent oriented along (du, dk)) at the corrected point,
@@ -97,7 +97,6 @@ class _Stepper:
         """
         lu, du, dk = tang
         lu_J, du_J, dk_J = tang     # the factorized point, here a chord
-        cost = self.K.factorization_cost
         last = math.inf         # residual at the previous iterate
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
         try:
@@ -112,7 +111,7 @@ class _Stepper:
                 if lu_J is not lu and residual > last:
                     return None
                 last = residual
-                if it > 0 and cost < _CORRECTOR_ITERS - it:
+                if it > 0 and self.K.refactorize:
                     lu_J = None     # dropped before the next J forms
                     lu_J, du_J, dk_J = self.tangent(u, (du, dk))
                 self.corrector_steps += 1

@@ -24,7 +24,6 @@ first call from the extension module scipy.linalg._flapack alone (see
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,19 +74,14 @@ class KernelMatrix:
 
     grid: Grid
     entries: np.ndarray
+    # a dense LU and tangent cost ~28 chord steps (864 nodes); a point takes ~15
+    refactorize = False
 
     def __post_init__(self):
         n = self.grid.n_nodes
         if self.entries.shape != (n, n):
             raise ValueError(f"entries shape {self.entries.shape} does not match "
                              f"grid with {n} nodes")
-
-    @property
-    def factorization_cost(self) -> float:
-        """One Jacobian LU and tangent, in chord corrector steps: infinite
-        until a dense LU is measured against a step's O(n^2) product, so a
-        dense corrector keeps one LU per accepted point."""
-        return math.inf
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ x
@@ -174,12 +168,8 @@ class HalfLineGreen:
     l_chunks: tuple             # (lo, hi, carry) from the bottom up
     v_chunks: tuple             # the same from the top down, reversed indices
 
-    @property
-    def factorization_cost(self) -> float:
-        """One Jacobian, gttrf and tangent solve, in chord corrector steps:
-        all O(n), together they take as long as one step's product and
-        solve (measured at 300 to 20 000 nodes)."""
-        return 1.0
+    # an O(n) Jacobian, gttrf and tangent solve cost ~1 chord step (300-20 000 nodes)
+    refactorize = True
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape)

@@ -245,6 +245,8 @@ def estimate_kappa_star(K: GreenOperator, Pmu: Field, p: float,
         raise BracketError(f"upper bracket end kappa={hi:g} does not diverge")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break           # no float lies between the ends
         if converges(mid):
             lo = mid
         else:

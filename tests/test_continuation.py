@@ -68,10 +68,10 @@ class TestTraceBranch:
             assert np.max(np.abs(residual)) <= 1e-10
 
     def test_one_factorization_per_point(self, plane, monkeypatch):
-        # a dense Jacobian is never taken as cheaper than the steps it
-        # saves, so each accepted point's tangent is the only factorization
+        # a dense corrector keeps the chord, so each accepted point's
+        # tangent is the only factorization
         _, K, Pmu, _ = plane
-        assert K.factorization_cost >= continuation._CORRECTOR_ITERS
+        assert not K.refactorize
         calls, lu_factor = [], continuation.lu_factor
 
         def counting_lu_factor(*args, **kwargs):
@@ -173,7 +173,7 @@ class TestTangentMemory:
         # before the next Jacobian forms, and before the converged point's
         # tangent
         _, K, Pmu, u = plane
-        monkeypatch.setattr(KernelMatrix, "factorization_cost", 0.0)
+        monkeypatch.setattr(KernelMatrix, "refactorize", True)
         stepper = _Stepper(K, Pmu, 3.0)
         tang = stepper.tangent(u, None)         # the caller's LU stays alive
         result, extra = peak_allocation(stepper.correct, u, 0.5, tang, 0.5)

@@ -215,6 +215,17 @@ class TestKappaStar:
         assert maps[1.4140625] < 288
         assert est.fixed_point_maps <= 200
 
+    def test_bisection_stops_when_no_float_lies_between_the_ends(self):
+        # at a tolerance below the float spacing near sqrt(2), the midpoint
+        # of adjacent floats is one of them: it is not probed again
+        g = build_grid(1, 20.0, 20.0, 1, 300)
+        Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+        est = estimate_kappa_star(assemble_green(g), Pmu, 3.0,
+                                  bracket=(0.5, 2.5), tol=1e-17)
+        assert est.lower < est.upper
+        kappas = [kappa for kappa, _, _ in est.probes]
+        assert len(set(kappas)) == len(kappas)
+
     def test_bad_brackets(self, K_line, Pmu_line):
         with pytest.raises(BracketError):
             estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(2.0, 3.0))

@@ -8,6 +8,7 @@ from scipy import special
 from scalarfield import verify
 from scalarfield.discretization import build_grid
 from scalarfield.kernels import fundamental_E
+from scalarfield.operators import assemble_green, poisson_trace
 from scalarfield.verify import (verify_gintest_scaling, verify_glaa,
                                 verify_kernel_identities,
                                 verify_solution_structure)
@@ -204,6 +205,29 @@ class TestSolutionStructure:
         assert rep.statistic <= 1e-10
         assert rep.details["strict_ordering"]
         assert all(v > 1.0 for v in rep.details["lambdas"].values())
+
+    @pytest.fixture(scope="class")
+    def tall(self):
+        """H = 800: the solutions underflow to 0.0 beyond x ~ 745."""
+        g = build_grid(1, 800.0, 800.0, 1, 300)
+        return assemble_green(g), poisson_trace(g, {"type": "point_mass",
+                                                    "mass": 1.0})
+
+    def test_tall_grid_passes(self, tall):
+        rep = verify_solution_structure([0.2, 0.4, 0.8], *tall, 3.0)
+        assert rep.passed
+        assert rep.details["strict_ordering"]
+
+    # swapped limits, and equal nonzero ones
+    @pytest.mark.parametrize("swap", [{0.2: 0.8, 0.4: 0.4, 0.8: 0.2},
+                                      {0.2: 0.2, 0.4: 0.2, 0.8: 0.8}])
+    def test_unordered_solutions_fail(self, tall, monkeypatch, swap):
+        iterate = verify.monotone_iterate
+        monkeypatch.setattr(verify, "monotone_iterate", lambda k, *args:
+                            iterate(swap[k], *args))
+        rep = verify_solution_structure([0.2, 0.4, 0.8], *tall, 3.0)
+        assert not rep.passed
+        assert not rep.details["strict_ordering"]
 
     def test_diverging_kappa_fails_with_diagnostic(self, K_line, Pmu_line):
         rep = verify_solution_structure([0.4, 2.0], K_line, Pmu_line, 3.0)
