@@ -2,7 +2,7 @@
 
 Every run is reproducible from one JSON config; all defaults are echoed
 into summary.json so no numerical choice stays implicit.  Outputs carry no
-timestamps, so identical (config, seed) reruns are byte-identical.
+timestamps, so reruns of identical configs are byte-identical.
 
 Exit codes, all mapped in `run_command`: 0 success; 1 a computational
 outcome ("<command>: <message>": no minimal solution, a bracket that does
@@ -86,21 +86,27 @@ def _merge(defaults, user, path=""):
         if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, where)
             continue
-        _require(_typed_like(value, defaults[key]),
+        _require(_typed_like(value, defaults[key], where),
                  f"'{where}' has the wrong type: {value!r}")
         out[key] = value
     return out
 
 
-def _typed_like(value, default) -> bool:
+def _typed_like(value, default, where) -> bool:
     """An int for an int default, a number for a float one (never a bool),
-    a list of numbers, or str/null for a null default."""
+    a list of numbers, or str/null for a null default.  A number for a float
+    default or in a list must be finite, not NaN, Infinity or past range."""
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_typed_like(v, 0.0) for v in value)
+        return isinstance(value, list) and all(_typed_like(v, 0.0, where)
+                                               for v in value)
     kinds = int if isinstance(default, int) else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        return False
+    _require(kinds is int or abs(value) <= sys.float_info.max,
+             f"'{where}' must be finite")
+    return True
 
 
 def _check_mu_spec(spec, where):
@@ -112,7 +118,8 @@ def _check_mu_spec(spec, where):
     _require(not extra, f"unknown keys {sorted(extra)} in '{where}'")
     for key, value in spec.items():
         _require(key == "type" or (key == "location" and value is None)
-                 or _typed_like(value, 1.0 if key == "mass" else []),
+                 or _typed_like(value, 1.0 if key == "mass" else [],
+                                f"{where}.{key}"),
                  f"'{where}.{key}' must be a number or a list of numbers")
     return copy.deepcopy(spec)
 
@@ -120,8 +127,7 @@ def _check_mu_spec(spec, where):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=lambda name: _require(
-                False, f"config numbers must be finite, not {name}"))
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -386,18 +392,18 @@ _GINTEST_TRIPLES = {
 
 def _cmd_verify(cfg, suite: str) -> int:
     prob = cfg["problem"]
-    N, seed = prob["N"], cfg["seed"]
+    N = prob["N"]
     # the kernels and structure suites build the config's grid
     _check_budget(cfg, copies=1)
     reports = []
     if suite in ("kernels", "all"):
-        reports.append(verify_kernel_identities(_grid(cfg), seed=seed))
+        reports.append(verify_kernel_identities(_grid(cfg)))
     if suite in ("gintest", "all"):
         for trip in _GINTEST_TRIPLES[N]:
             reports.append(verify_gintest_scaling(*trip))
     if suite in ("glaa", "all"):
         q, alpha = cfg["exponents"]["q"], cfg["exponents"]["alpha"]
-        reports.append(verify_glaa(N, q, alpha, q, alpha, seed=seed))
+        reports.append(verify_glaa(N, q, alpha, q, alpha))
     if suite in ("structure", "all"):
         _, K, Pmu = _build_problem(cfg, copies=1)
         reports.append(verify_solution_structure([0.2, 0.4, 0.8],

@@ -68,6 +68,9 @@ def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
 
     z_edges = H * (np.arange(nodes_height + 1) / nodes_height) ** grading
     z_mid, z_w = 0.5 * (z_edges[:-1] + z_edges[1:]), np.diff(z_edges)
+    if z_mid[0] < np.finfo(float).tiny:    # 1/width and coth(width) overflow
+        raise ValueError(f"grading {grading:g} puts the lowest node at height "
+                         f"{z_mid[0]:.3g}, below the smallest normal float")
     if dimension == 1:
         nodes = z_mid[:, None]
         weights = z_w

@@ -306,6 +306,17 @@ class TestCommands:
         assert [(out / name).read_bytes()
                 for name in ("summary.json", "verify.json")] == first
 
+    def test_verify_reports_do_not_depend_on_the_seed(self, tmp_path):
+        # seed is accepted and echoed, but no check draws random numbers
+        reports = []
+        for seed in (0, 7):
+            path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=50),
+                                seed=seed)
+            assert run_command(["verify", "--config", path,
+                                "--suite", "glaa"]) == 0
+            reports.append((tmp_path / "out" / "verify.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_output_dir_config_beats_env(self, tmp_path):
         target = tmp_path / "explicit"
         path = write_config(tmp_path, output_dir=str(target))
@@ -379,7 +390,8 @@ class TestCsvLayouts:
 
 
 class TestExitCodes:
-    # a case with config overrides runs with "--config <file>" appended
+    # a case with config overrides runs with "--config <file>" appended;
+    # overrides given as a string are the file's raw text
     @pytest.mark.parametrize("argv, overrides, patch, code, message", [
         (["frobnicate"], None, None, 2, ""),
         # exponents checks its arguments before it prints anything
@@ -427,6 +439,16 @@ class TestExitCodes:
          "must be finite"),
         (["solve"], {"grid": dict(FAST_GRID, R=float("inf"))}, None, 2,
          "must be finite"),
+        # json.load reads 1e400 as inf; json.dumps cannot write it
+        (["solve"], '{"problem": {"p": 1e400}}', None, 2,
+         "'problem.p' must be finite"),
+        (["verify", "--suite", "glaa"], '{"exponents": {"q": 1e400}}', None,
+         2, "'exponents.q' must be finite"),
+        (["solve"], '{"problem": {"kappa": %s}}' % ("9" * 400), None, 2,
+         "'problem.kappa' must be finite"),
+        # the lowest node height 1.5e-322 is subnormal
+        (["branch"], {"grid": dict(FAST_GRID, nodes_height=50, grading=190)},
+         None, 2, "grading 190"),
     ], ids=["unknown-command", "exponents-N0", "exponents-p-infinity",
             "exponents-p-nan", "exponents-p-half", "exponents-p-overflow",
             "exponents-N-overflow", "memory-budget", "radial-N1",
@@ -434,14 +456,18 @@ class TestExitCodes:
             "bracket-below-threshold",
             "output-dir-is-file", "verify-check-fails",
             "verify-memory-budget", "mass-nan", "p-infinity", "radius-nan",
-            "R-infinity"])
+            "R-infinity", "p-1e400", "q-1e400-glaa", "kappa-400-digits",
+            "grading-subnormal"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         if patch:
             monkeypatch.setattr(cli, *patch)
-        if overrides is not None:
+        if isinstance(overrides, str):
+            (tmp_path / "raw.json").write_text(overrides)
+            argv = argv + ["--config", str(tmp_path / "raw.json")]
+        elif overrides is not None:
             argv = argv + ["--config", write_config(tmp_path, **overrides)]
         assert run_command(argv) == code
         out, err = capsys.readouterr()

@@ -46,6 +46,17 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             build_grid(1, 5.0, 5.0, 1, 4, grading=0.5)
 
+    @pytest.mark.parametrize("grading, lowest_ok", [
+        (180.0, True), (190.0, False), (200.0, False)])
+    def test_lowest_node_stays_a_normal_float(self, grading, lowest_ok):
+        # at grading 190 the lowest height is subnormal, at 200 it is 0.0
+        if lowest_ok:
+            g = build_grid(1, 20.0, 20.0, 1, 50, grading=grading)
+            assert g.heights[0] >= np.finfo(float).tiny
+        else:
+            with pytest.raises(ValueError, match="grading"):
+                build_grid(1, 20.0, 20.0, 1, 50, grading=grading)
+
     def test_immutable_arrays(self):
         g = build_grid(1, 5.0, 5.0, 1, 8)
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Every package module uses each name it imports, and the CLI loads only
 the SciPy extension modules a command calls, never the scipy, scipy.linalg
-or scipy.special packages."""
+or scipy.special packages, and never numpy.random."""
 
 import ast
 import json
@@ -49,11 +49,11 @@ def run_fresh(code: str, *args: str) -> str:
 
 
 def loaded_after(code: str, *args: str) -> list[str]:
-    """The SciPy modules in sys.modules once `code` has run in a fresh
-    process."""
+    """The SciPy modules and numpy.random, where they are in sys.modules
+    once `code` has run in a fresh process."""
     probe = (f"{code}\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy')))")
+             "if m.split('.')[0] == 'scipy' or m == 'numpy.random')))")
     return json.loads(run_fresh(probe, *args))
 
 
@@ -82,7 +82,8 @@ def test_command_loads_only_what_it_calls(tmp_path, N, command, loaded):
     # N = 1 kernels are exponentials and its matvec two cumulative sums;
     # only factorizing a Jacobian needs LAPACK, only N = 2 needs K0/K1.  Each
     # comes from its extension module alone: no command imports the scipy,
-    # scipy.linalg or scipy.special packages
+    # scipy.linalg or scipy.special packages.  verify samples a fixed point
+    # set, so no command loads numpy.random either
     cfg = {"problem": {"N": N}, "grid": {"nodes_height": 300},
            "continuation": {"max_points": 12}, "output_dir": str(tmp_path)}
     if N == 2:

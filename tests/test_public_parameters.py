@@ -18,8 +18,6 @@ DEFAULTED = {
     "monotone_iterate": ["tol", "max_iter", "blowup_cap"],
     "poisson_P": ["z"],
     "trace_branch": ["step", "max_points"],
-    "verify_glaa": ["seed"],
-    "verify_kernel_identities": ["seed"],
     "weighted_norm": ["alpha"],
 }
 
@@ -38,4 +36,4 @@ def defaulted_parameters() -> dict[str, list[str]]:
 
 def test_public_defaulted_parameters_are_pinned():
     assert defaulted_parameters() == DEFAULTED
-    assert sum(len(params) for params in DEFAULTED.values()) == 16
+    assert sum(len(params) for params in DEFAULTED.values()) == 14

@@ -44,9 +44,9 @@ class TestKernelIdentities:
         assert rep.details["poisson_mass_error"] > 1e-12
         assert rep.details["stacking_error"] > 1e-12
 
-    def test_deterministic_for_fixed_seed(self, grid_line):
-        a = verify_kernel_identities(grid_line, seed=4)
-        b = verify_kernel_identities(grid_line, seed=4)
+    def test_repeated_calls_agree(self, grid_line):
+        a = verify_kernel_identities(grid_line)
+        b = verify_kernel_identities(grid_line)
         assert a == b
 
 
@@ -192,9 +192,9 @@ class TestGlaa:
         with pytest.raises(ValueError, match="mapping"):
             verify_glaa(1, 4.0, 0.0, 2.0, 0.0)   # r < q
 
-    def test_deterministic_for_fixed_seed(self):
-        a = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, seed=9)
-        b = verify_glaa(1, 4.0, 0.0, 4.0, 0.0, seed=9)
+    def test_repeated_calls_agree(self):
+        a = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
+        b = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
         assert a == b
 
 
