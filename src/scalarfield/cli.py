@@ -26,18 +26,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .continuation import (NoMinimalSolutionError, detect_fold,
-                           trace_branch)
+# continuation, verify and exponents are imported by the one command that
+# calls each, so the other commands never load them
 from .discretization import build_grid
-from .exponents import check_admissible, critical_exponents
 from .kernels import _scipy_attr
 from .operators import (DegenerateLinearizationError, IterationLimitError,
                         assemble_green, check_memory_budget,
                         linearized_spectrum, poisson_trace)
-from .solver import (BracketError, NearFoldError, estimate_kappa_star,
-                     monotone_iterate)
-from .verify import (verify_gintest_scaling, verify_glaa,
-                     verify_kernel_identities, verify_solution_structure)
+from .solver import (BracketError, NearFoldError, NoMinimalSolutionError,
+                     estimate_kappa_star, monotone_iterate)
 
 OUTPUT_DIR_ENV = "SCALARFIELD_OUTPUT_DIR"
 
@@ -251,6 +248,7 @@ def _minimal_solution(cfg, K, Pmu):
 
 
 def _cmd_exponents(args) -> int:
+    from .exponents import check_admissible, critical_exponents
     N, p = args.N, args.p
     if N < 1:
         return _exponents_usage(f"--N must be a positive integer, not {N}")
@@ -347,6 +345,7 @@ def _cmd_eigen(cfg) -> int:
 
 
 def _cmd_branch(cfg) -> int:
+    from .continuation import detect_fold, trace_branch
     cont = cfg["continuation"]
     # K, the previous point's LU and the new Jacobian while a tangent forms
     # (a corrector drops its own refactorized LU before the next one forms);
@@ -391,6 +390,8 @@ _GINTEST_TRIPLES = {
 
 
 def _cmd_verify(cfg, suite: str) -> int:
+    from .verify import (verify_gintest_scaling, verify_glaa,
+                         verify_kernel_identities, verify_solution_structure)
     prob = cfg["problem"]
     N = prob["N"]
     # the kernels and structure suites build the config's grid

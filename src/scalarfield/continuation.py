@@ -21,7 +21,8 @@ import numpy as np
 from .discretization import Field
 from .operators import (GreenOperator, jacobian, linearized_spectrum,
                         lu_factor, lu_solve)
-from .solver import monotone_iterate, newton_refine, psi_map
+from .solver import (NoMinimalSolutionError, monotone_iterate,
+                     newton_refine, psi_map)
 
 _STEP_MIN = 1e-5
 _STEP_MAX = 0.2
@@ -30,10 +31,6 @@ _NEWTON_TOL = 1e-11
 _CORRECTOR_ITERS = 50
 _FOLD_TOL = 1e-8
 _FOLD_REFINE = 40
-
-
-class NoMinimalSolutionError(ValueError):
-    """The monotone iteration diverged at the start of the branch."""
 
 
 @dataclass(frozen=True)

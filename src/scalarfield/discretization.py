@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# highest grid height: the kernels square node heights and their sums
+_MAX_HEIGHT = np.sqrt(np.finfo(float).max) / 4.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -61,6 +64,9 @@ def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
         raise ValueError(f"unsupported dimension {dimension!r}")
     if R <= 0.0 or H <= 0.0:
         raise ValueError("grid extents must be positive")
+    if H > _MAX_HEIGHT:
+        raise ValueError(f"grid height H = {H:g} is above {_MAX_HEIGHT:.4g}, "
+                         "where squared distances between nodes overflow")
     if nodes_height < 2 or (dimension > 1 and nodes_lateral < 2):
         raise ValueError("need at least 2 nodes per direction")
     if grading < 1.0:

@@ -44,7 +44,7 @@ def _scipy_module(name: str):
     Importing scipy.special or scipy.linalg runs scipy/__init__.py, whose
     array API layer loads numpy.f2py, numpy.testing, numpy.ma and
     numpy.random besides much of SciPy; the extension modules holding
-    LAPACK and K0/K1 need only NumPy.  A module already imported is
+    BLAS, LAPACK and K0/K1 need only NumPy.  A module already imported is
     returned as it is.
     """
     full = f"scipy.{name}"

@@ -1,23 +1,27 @@
 """Discrete integral operators on a half-space grid.
 
-The Green operator carries the quadrature weights, so applying it is one
-`matvec`.  For N = 2, 3 it is a dense matrix: each column represents a
-mirror pair or a full ring of sources, and the entry carries the pair/ring
-average of the kernel.  For N = 1 it is exact and O(n): the sampled kernel
-is semiseparable, so a product is two cumulative sums, and its inverse is
-tridiagonal in closed form (`HalfLineGreen`).  Either way the singular
-quadrature diagonal averages the kernel over sub-points of the cell instead
-of evaluating it at the (coincident) midpoint.  The dense N = 2 matrix is assembled from one kernel
-slab per lateral offset, since on the uniform lateral grid a pair average
-depends on the two columns only through their offsets, and each symmetric
-slab value is evaluated once; N = 3 (and the dense
-N = 1 reference) is evaluated row block by row block.  A mirror pair is
-the two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
+Either Green operator applies K = S W, the sampled kernel S times the
+diagonal W of quadrature weights, in one `matvec`.  For N = 2, 3 it is the
+dense `KernelMatrix`, which keeps the bare kernel S: each column represents
+a mirror pair or a full ring of sources, and the entry carries the
+pair/ring average of the kernel.  That S is exactly symmetric, so a product
+is one BLAS dsymv of S with w * x, which reads one triangle of S.  For
+N = 1 it is exact and O(n): the sampled kernel is semiseparable, so a
+product is two cumulative sums, and its inverse is tridiagonal in closed
+form (`HalfLineGreen`).  Either way the singular quadrature diagonal
+averages the kernel over sub-points of the cell instead of evaluating it at
+the (coincident) midpoint.  The dense N = 2 matrix is assembled from one
+kernel slab per lateral offset, since on the uniform lateral grid a pair
+average depends on the two columns only through their offsets; N = 3 (and
+the dense N = 1 reference) is evaluated row block by row block.  Both
+evaluate each symmetric pair once and mirror it.  A mirror pair is the
+two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
 Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
 default grids; no adaptive quadrature is left in this module.  `lu_factor` /
 `lu_solve` are the package's only factorization of the Jacobian `jacobian`
-returns for either operator; they take SciPy's LAPACK wrappers on their
-first call from the extension module scipy.linalg._flapack alone (see
+returns for either operator.  They take SciPy's LAPACK wrappers, and the
+dense matvec SciPy's BLAS dsymv, on first use from the extension modules
+scipy.linalg._flapack and scipy.linalg._fblas alone (see
 `kernels._scipy_module`), so no command imports the scipy.linalg package.
 """
 
@@ -46,6 +50,8 @@ _JACOBIAN_COLUMNS = 64
 _CHUNK_SPAN = 300.0
 # a LAPACK wrapper by name: dgttrf, dgttrs, dgetrf, dgetrs
 _lapack = functools.partial(_scipy_attr, "linalg._flapack", "linalg.lapack")
+# a BLAS wrapper by name: dsymv
+_blas = functools.partial(_scipy_attr, "linalg._fblas", "linalg.blas")
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
@@ -70,33 +76,36 @@ class DegenerateLinearizationError(ValueError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense Green matrix; entries[i, j] = (averaged kernel)(x_i, x_j) * w_j."""
+    """Dense Green operator K = S W.  It stores the bare kernel S, exactly
+    symmetric: kernel[i, j] = (averaged kernel)(x_i, x_j), with no
+    quadrature weight; W = diag(grid.quad_weights) is applied to vectors."""
 
     grid: Grid
-    entries: np.ndarray
+    kernel: np.ndarray
     # a dense LU and tangent cost ~28 chord steps (864 nodes); a point takes ~15
     refactorize = False
 
     def __post_init__(self):
         n = self.grid.n_nodes
-        if self.entries.shape != (n, n):
-            raise ValueError(f"entries shape {self.entries.shape} does not match "
+        if self.kernel.shape != (n, n):
+            raise ValueError(f"kernel shape {self.kernel.shape} does not match "
                              f"grid with {n} nodes")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.entries @ x
+        # S.T is S, and Fortran-ordered, so dsymv reads it without a copy
+        return _blas("dsymv")(1.0, self.kernel.T, self.grid.quad_weights * x)
 
     def jacobian(self, weights: np.ndarray) -> np.ndarray:
-        """I - K diag(weights), Fortran-ordered, so lu_factor overwrites it
-        instead of copying it first."""
+        """I - S diag(w * weights), Fortran-ordered, so lu_factor overwrites
+        it instead of copying it first."""
         n = self.grid.n_nodes
         J = np.empty((n, n), order="F")
-        neg_weights = -weights
+        neg_weights = -self.grid.quad_weights * weights
         # column blocks keep both the C-ordered reads and the F-ordered writes
         # cache-friendly; one strided pass over the whole matrix is slower
         for lo in range(0, n, _JACOBIAN_COLUMNS):
             cols = slice(lo, lo + _JACOBIAN_COLUMNS)
-            np.multiply(self.entries[:, cols], neg_weights[cols], out=J[:, cols])
+            np.multiply(self.kernel[:, cols], neg_weights[cols], out=J[:, cols])
         J[np.diag_indices_from(J)] += 1.0
         return J
 
@@ -278,7 +287,10 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
     direct = np.sqrt(lat2 + dz[..., None] ** 2)
     mirror = np.sqrt(lat2 + (z_x + z_y)[..., None] ** 2)
     vals = fundamental_E(N, direct) - fundamental_E(N, mirror)
-    return vals @ w_phi / np.sum(w_phi)
+    # a sum, not a BLAS dot: a dot's rounding depends on where the pair sits
+    # in the call, and the matrix must not depend on the assembly blocks
+    vals *= w_phi
+    return np.sum(vals, axis=-1) / np.sum(w_phi)
 
 
 def check_matrix_budget(n: int, copies: int) -> None:
@@ -374,7 +386,7 @@ def assemble_green(grid: Grid) -> GreenOperator:
 
 
 def _assemble_dense(grid: Grid) -> KernelMatrix:
-    """Dense Green matrix for any dimension.
+    """Dense bare kernel for any dimension.
 
     N = 2 is built from one kernel slab per lateral offset (`_fill_plane`),
     N = 1, 3 row block by row block (`_fill_rows`).  Either way no temporary
@@ -382,18 +394,21 @@ def _assemble_dense(grid: Grid) -> KernelMatrix:
     """
     n = grid.n_nodes
     check_matrix_budget(n, copies=1)
-    entries = np.empty((n, n))
+    kernel = np.empty((n, n))
     if grid.dimension == 2:
-        _fill_plane(grid, entries)
+        _fill_plane(grid, kernel)
     else:
-        _fill_rows(grid, entries)
-    entries *= grid.quad_weights[None, :]
-    return KernelMatrix(grid=grid, entries=entries)
+        _fill_rows(grid, kernel)
+    return KernelMatrix(grid=grid, kernel=kernel)
 
 
-def _fill_rows(grid: Grid, entries: np.ndarray) -> None:
+def _fill_rows(grid: Grid, kernel: np.ndarray) -> None:
     """Bare kernel rows in blocks of about _BLOCK_ENTRIES kernel evaluations
-    (times the angle count for N = 3), diagonal included."""
+    (times the angle count for N = 3), diagonal included.  A block of rows
+    lo:hi evaluates only its pairs i <= j, from column lo on, and mirrors
+    them to j < i inside the block; the columns left of the block are the
+    transposes of rows already filled.  So the kernel is exactly
+    symmetric, and each pair is evaluated once."""
     n = grid.n_nodes
     N = grid.dimension
     z = grid.heights
@@ -401,17 +416,24 @@ def _fill_rows(grid: Grid, entries: np.ndarray) -> None:
     block = max(1, _BLOCK_ENTRIES // (n * (_GAUSS_ANGLES if N == 3 else 1)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        idx = np.arange(lo, hi)
+        rows, cols = np.triu_indices(hi - lo, 0, n - lo)
+        rows += lo
+        cols += lo
         # dodge the singular diagonal; those entries are overwritten below
-        z_cols = np.broadcast_to(z[None, :], (hi - lo, n)).copy()
-        z_cols[np.arange(hi - lo), idx] += 1.0
-        entries[lo:hi] = _avg_green(N, rho[idx, None], z[idx, None],
-                                    rho[None, :], z_cols)
-        entries[idx, idx] = _cell_average(N, rho[lo:hi], z[lo:hi],
-                                          grid.cell_sizes[lo:hi])
+        z_cols = z[cols]
+        z_cols[rows == cols] += 1.0
+        kernel[rows, cols] = _avg_green(N, rho[rows], z[rows], rho[cols],
+                                        z_cols)
+        below = np.tril_indices(hi - lo, -1)
+        kernel[lo + below[0], lo + below[1]] = kernel[lo + below[1],
+                                                      lo + below[0]]
+        kernel[lo:hi, :lo] = kernel[:lo, lo:hi].T
+        idx = np.arange(lo, hi)
+        kernel[idx, idx] = _cell_average(N, rho[lo:hi], z[lo:hi],
+                                         grid.cell_sizes[lo:hi])
 
 
-def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
+def _fill_plane(grid: Grid, kernel: np.ndarray) -> None:
     """Bare N = 2 kernel from one height-by-height slab per lateral offset.
 
     Node (a, i) sits at radius (a + 1/2) dr and height z_i, a < nl, i < nh,
@@ -438,7 +460,7 @@ def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
     columns = np.arange(nl)
     direct = np.abs(columns[:, None] - columns[None, :])
     mirrored = columns[:, None] + columns[None, :] + 1
-    out = entries.reshape(nl, nh, nl, nh)       # out[a, i, b, j]
+    out = kernel.reshape(nl, nh, nl, nh)        # out[a, i, b, j]
     block = max(1, _BLOCK_ENTRIES // (2 * nl * nh))
     for lo in range(0, nh, block):
         hi = min(lo + block, nh)
@@ -460,8 +482,8 @@ def _fill_plane(grid: Grid, entries: np.ndarray) -> None:
             pair *= 0.5
             out[a, lo:hi, :, lo:] = pair.transpose(1, 0, 2)
             out[a, lo:hi, :, :lo] = out[:, :lo, a, lo:hi].transpose(2, 0, 1)
-    np.fill_diagonal(entries, _cell_average(2, grid.radii, heights,
-                                            grid.cell_sizes))
+    np.fill_diagonal(kernel, _cell_average(2, grid.radii, heights,
+                                           grid.cell_sizes))
 
 
 def apply_green(K: GreenOperator, f: Field) -> Field:

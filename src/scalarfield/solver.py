@@ -38,6 +38,10 @@ class NearFoldError(RuntimeError):
     """Newton's method hit a (numerically) singular Jacobian."""
 
 
+class NoMinimalSolutionError(ValueError):
+    """The monotone iteration diverged at the start of the branch."""
+
+
 @dataclass(frozen=True)
 class SolveResult:
     status: str                 # "converged" | "diverged" | "iteration_limit"

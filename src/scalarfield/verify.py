@@ -349,6 +349,11 @@ def verify_glaa(N: int, q: float, alpha: float, r: float,
     ratio_coarse, ratio_fine = (
         _norm_ratio_max(g, assemble_green(g), fns, q, alpha, r, beta)
         for g in (_glaa_grids(N, 1), _glaa_grids(N, 2)))
+    if ratio_coarse == 0.0:
+        # each test function's norm underflowed or its image's did
+        raise ValueError(f"exponents q = {q:g}, r = {r:g} put every weighted "
+                         "norm of the test functions out of float range; the "
+                         "norm bound cannot be measured")
     growth = ratio_fine / ratio_coarse - 1.0
     sigmas = [sigma for sigma in (0.6, 0.8) if 1.0 / q < sigma < 1.0]
     borderline = _borderline_rule(N) if sigmas else None

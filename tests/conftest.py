@@ -5,7 +5,7 @@ import pytest
 
 from scalarfield import assemble_green, build_grid, poisson_trace
 from scalarfield.kernels import _special
-from scalarfield.operators import _assemble_dense, _lapack
+from scalarfield.operators import _assemble_dense, _blas, _lapack
 
 
 @pytest.fixture(scope="session")
@@ -42,9 +42,10 @@ def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
     counted by tracemalloc, which sees every NumPy buffer.
 
-    scalarfield loads SciPy's LAPACK and K0/K1 extension modules on first
-    use; its loader is run here first, so their one-time module state is
-    not counted as arrays the call holds."""
+    scalarfield loads SciPy's BLAS, LAPACK and K0/K1 extension modules on
+    first use; its loader is run here first, so their one-time module state
+    is not counted as arrays the call holds."""
+    _blas("dsymv")
     for name in ("dgttrf", "dgttrs", "dgetrf", "dgetrs"):
         _lapack(name)
     for name in ("k0", "k1"):

@@ -409,7 +409,7 @@ class TestExitCodes:
          "overflows the admissibility scan"),
         # 10^9 nodes: refused from the config alone, nothing is allocated
         (["solve"], {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
-         ("build_grid", _no_grid), 2, "memory budget"),
+         ("scalarfield.cli.build_grid", _no_grid), 2, "memory budget"),
         (["solve"], {"problem": {"mu_spec": {
             "type": "radial_density", "radii": [0.0, 1.0],
             "values": [1.0, 0.0]}}}, None, 2, "config error"),
@@ -422,11 +422,12 @@ class TestExitCodes:
          "kappa-star: lower bracket end"),
         (["solve"], {"output_dir": "taken"}, None, 1, "io error"),
         (["verify", "--suite", "kernels"], {},
-         ("verify_kernel_identities", _failing_check), 1, ""),
+         ("scalarfield.verify.verify_kernel_identities", _failing_check), 1,
+         ""),
         # every verify suite is checked before the first one runs
         (["verify", "--suite", "kernels"],
          {"grid": dict(FAST_GRID, nodes_height=10 ** 9)},
-         ("build_grid", _no_grid), 2, "memory budget"),
+         ("scalarfield.cli.build_grid", _no_grid), 2, "memory budget"),
         # json.load reads NaN and Infinity; none of them is a valid value
         (["solve"], {"problem": {"mu_spec": {"type": "point_mass",
                                              "mass": float("nan")}}},
@@ -449,6 +450,12 @@ class TestExitCodes:
         # the lowest node height 1.5e-322 is subnormal
         (["branch"], {"grid": dict(FAST_GRID, nodes_height=50, grading=190)},
          None, 2, "grading 190"),
+        # squared heights overflow; so do the cell midpoints
+        (["solve"], {"grid": dict(FAST_GRID, nodes_height=50, H=1e308)},
+         None, 2, "grid height H = 1e+308"),
+        # every test norm underflows: the norm bound measures nothing
+        (["verify", "--suite", "glaa"], {"exponents": {"q": 1e308}}, None, 2,
+         "exponents q = 1e+308"),
     ], ids=["unknown-command", "exponents-N0", "exponents-p-infinity",
             "exponents-p-nan", "exponents-p-half", "exponents-p-overflow",
             "exponents-N-overflow", "memory-budget", "radial-N1",
@@ -457,13 +464,14 @@ class TestExitCodes:
             "output-dir-is-file", "verify-check-fails",
             "verify-memory-budget", "mass-nan", "p-infinity", "radius-nan",
             "R-infinity", "p-1e400", "q-1e400-glaa", "kappa-400-digits",
-            "grading-subnormal"])
+            "grading-subnormal", "H-1e308", "q-1e308-glaa"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         if patch:
-            monkeypatch.setattr(cli, *patch)
+            # the defining module: a command imports what only it calls
+            monkeypatch.setattr(*patch)
         if isinstance(overrides, str):
             (tmp_path / "raw.json").write_text(overrides)
             argv = argv + ["--config", str(tmp_path / "raw.json")]
@@ -485,7 +493,7 @@ class TestExitCodes:
                                          capsys, error):
         def fail(*args, **kwargs):
             raise error
-        monkeypatch.setattr(cli, "trace_branch", fail)
+        monkeypatch.setattr(continuation, "trace_branch", fail)
         path = write_config(tmp_path)
         assert run_command(["branch", "--config", path]) == 1
         err = capsys.readouterr().err

@@ -156,7 +156,7 @@ class TestTangentMemory:
         previous = stepper.tangent(u, None)     # its LU stays alive
         _, extra = peak_allocation(stepper.tangent, u,
                                    (previous[1], previous[2]))
-        assert extra <= 1.1 * K.entries.nbytes
+        assert extra <= 1.1 * K.kernel.nbytes
 
     def test_half_line_tangent_holds_a_few_vectors(self, grid_line, K_line,
                                                    Pmu_line):
@@ -180,7 +180,7 @@ class TestTangentMemory:
         assert result is not None
         # two refactorizations, then the converged point's tangent
         assert stepper.factorizations >= 4
-        assert extra <= 1.1 * K.entries.nbytes
+        assert extra <= 1.1 * K.kernel.nbytes
 
     def test_lu_overwrites_the_fortran_ordered_jacobian(self, plane,
                                                         monkeypatch):

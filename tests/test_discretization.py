@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ class TestGridConstruction:
         else:
             with pytest.raises(ValueError, match="grading"):
                 build_grid(1, 20.0, 20.0, 1, 50, grading=grading)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_height_keeps_squared_distances_finite(self, N):
+        # the kernels square node heights and their sums; 1e308 also
+        # overflows the sum of two cell edges
+        for H in (1e308, 1e200):
+            with pytest.raises(ValueError, match=re.escape(f"H = {H:g}")):
+                build_grid(N, 20.0, H, 4, 50)
+        g = build_grid(N, 20.0, 1e150, 4, 50)
+        assert np.isfinite((2.0 * g.heights[-1]) ** 2)
 
     def test_immutable_arrays(self):
         g = build_grid(1, 5.0, 5.0, 1, 8)

@@ -58,7 +58,8 @@ class TestAssembly:
     def test_two_node_entries_match_kernel(self):
         g = build_grid(1, 5.0, 5.0, 1, 2, grading=1.0)
         x1, x2 = g.heights
-        dense = _assemble_dense(g).entries[0, 1]
+        # K = S W: the dense operator keeps S, the product applies W
+        dense = _assemble_dense(g).kernel[0, 1] * g.quad_weights[1]
         structured = assemble_green(g).matvec(np.array([0.0, 1.0]))[0]
         for entry in (dense, structured):
             assert entry / g.quad_weights[1] \
@@ -67,11 +68,42 @@ class TestAssembly:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_entries_nonnegative_and_near_symmetric(self, N):
         g = build_grid(N, 6.0, 6.0, 10, 14)
-        K = _assemble_dense(g)
-        assert np.all(K.entries >= 0.0)
-        bare = K.entries / g.quad_weights[None, :]
+        K = _assemble_dense(g).kernel * g.quad_weights[None, :]
+        assert np.all(K >= 0.0)
+        bare = K / g.quad_weights[None, :]
         off = ~np.eye(g.n_nodes, dtype=bool)
         np.testing.assert_allclose(bare[off], bare.T[off], rtol=1e-12)
+
+    # (2, (8, 700)) takes several slab blocks, (2, (6, 11)) and (3, (6, 8))
+    # several with small blocks
+    @pytest.mark.parametrize("N, shape, block_entries", [
+        (1, (1, 300), None), (1, (1, 200), 7 * 200),
+        (2, (20, 30), None), (2, (8, 700), None), (2, (6, 11), 660),
+        (3, (16, 24), None), (3, (6, 10), None), (3, (6, 8), 5 * 48 * 32),
+        (3, (5, 7), None)])
+    def test_bare_kernel_is_exactly_symmetric(self, monkeypatch, N, shape,
+                                              block_entries):
+        if block_entries is not None:
+            monkeypatch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
+        S = _assemble_dense(build_grid(N, 6.0, 6.0, *shape)).kernel
+        np.testing.assert_array_equal(S, S.T)
+
+    @pytest.mark.parametrize("N, shape", [(2, (20, 30)), (3, (16, 24))])
+    def test_matvec_applies_the_weights(self, N, shape):
+        g = build_grid(N, 12.0, 12.0, *shape)
+        K = _assemble_dense(g)
+        x = np.random.default_rng(9).uniform(-1.0, 1.0, g.n_nodes)
+        terms = np.abs(K.kernel * (g.quad_weights * x)[None, :])
+        ref = K.kernel @ (g.quad_weights * x)
+        assert np.all(np.abs(K.matvec(x) - ref)
+                      <= 1e-13 * np.max(terms, axis=1))
+
+    def test_matvec_copies_no_matrix(self):
+        g = build_grid(2, 20.0, 20.0, 20, 30)
+        K = _assemble_dense(g)
+        x = np.ones(g.n_nodes)
+        _, extra = peak_allocation(K.matvec, x)
+        assert extra <= 4 * 8 * g.n_nodes
 
     def test_constant_source_oracle(self, grid_line, K_line):
         # G[1] = 1 - e^{-x}; compared away from the truncation end
@@ -118,9 +150,9 @@ class TestAssembly:
     def test_block_size_does_not_change_the_matrix(self, monkeypatch, N,
                                                    shape, block_entries):
         g = build_grid(N, 6.0, 6.0, *shape)
-        whole = _assemble_dense(g).entries.tobytes()
+        whole = _assemble_dense(g).kernel.tobytes()
         monkeypatch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
-        assert _assemble_dense(g).entries.tobytes() == whole
+        assert _assemble_dense(g).kernel.tobytes() == whole
 
     # (2, 2000): 4 slabs of 2000 x 2000 heights are 16 * 10^6 entries
     @pytest.mark.parametrize("N, shape", [(1, (1, 2000)), (2, (30, 40)),
@@ -128,13 +160,13 @@ class TestAssembly:
     def test_assembly_temporaries_are_bounded(self, N, shape):
         g = build_grid(N, 20.0, 20.0, *shape)
         K, extra = peak_allocation(_assemble_dense, g)
-        temporaries = extra - K.entries.nbytes
+        temporaries = extra - K.kernel.nbytes
         assert temporaries <= 16 * 8 * operators._BLOCK_ENTRIES
 
     @pytest.mark.parametrize("shape", [(6, 10), (20, 30)])
     def test_plane_entries_match_mirror_pair_oracle(self, shape):
         g = build_grid(2, 12.0, 12.0, *shape)
-        entries = _assemble_dense(g).entries
+        entries = _assemble_dense(g).kernel * g.quad_weights[None, :]
         np.testing.assert_array_equal(
             np.diag(entries),
             _cell_average(2, g.radii, g.heights, g.cell_sizes)
@@ -353,7 +385,8 @@ class TestLinearizedSpectrum:
     def test_compactness_heuristic(self, K_line, K_line_dense, Pmu_line):
         # singular values of h -> G[p u^{p-1} h] decay fast
         u = monotone_iterate(1.0, K_line, Pmu_line, 3.0).solution
-        Ta = K_line_dense.entries * (3.0 * u.values ** 2)[None, :]
+        w = K_line_dense.grid.quad_weights
+        Ta = K_line_dense.kernel * (w * 3.0 * u.values ** 2)[None, :]
         s = np.linalg.svd(Ta, compute_uv=False)
         assert s[19] / s[0] < 5e-3
         assert s[39] / s[0] < 1e-3
@@ -363,8 +396,8 @@ class TestJacobianAndSingularValues:
     def test_jacobian_structure(self, grid_line, K_line_dense):
         u = Field(grid_line, np.full(grid_line.n_nodes, 0.5))
         J = jacobian(K_line_dense, u, 3.0)
-        expected = (np.eye(grid_line.n_nodes)
-                    - K_line_dense.entries * (3.0 * 0.25))
+        K = K_line_dense.kernel * grid_line.quad_weights[None, :]
+        expected = np.eye(grid_line.n_nodes) - K * (3.0 * 0.25)
         np.testing.assert_allclose(J, expected, atol=1e-15)
 
     def test_negative_part_ignored(self, grid_line, K_line, K_line_dense):

@@ -24,8 +24,9 @@ DEFAULTED = {
 
 def defaulted_parameters() -> dict[str, list[str]]:
     out = {}
-    for name, obj in vars(scalarfield).items():
-        if name.startswith("_") or not inspect.isfunction(obj):
+    for name in scalarfield.__all__:
+        obj = getattr(scalarfield, name)
+        if not inspect.isfunction(obj):
             continue
         params = [p.name for p in inspect.signature(obj).parameters.values()
                   if p.default is not inspect.Parameter.empty]
