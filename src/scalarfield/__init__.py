@@ -26,8 +26,7 @@ _EXPORTS = {
     "operators": ("DegenerateLinearizationError", "EigenResult",
                   "HalfLineGreen", "IterationLimitError", "KernelMatrix",
                   "apply_green", "assemble_green", "jacobian",
-                  "linearized_spectrum", "poisson_trace",
-                  "smallest_singular_value"),
+                  "linearized_spectrum", "poisson_trace"),
     "solver": ("BracketError", "KappaStarEstimate", "NearFoldError",
                "SolveResult", "estimate_kappa_star", "monotone_iterate",
                "newton_refine", "psi_map"),

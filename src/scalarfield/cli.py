@@ -323,6 +323,13 @@ def _cmd_kappa_star(cfg) -> int:
               f"solver.max_iter = {solv['max_iter']} and were decided by "
               "their increment tail; the bracket is not certified (raise "
               "solver.max_iter)", file=sys.stderr)
+    outcomes = {kappa: outcome for kappa, outcome, _ in est.probes}
+    if outcomes[est.lower] == "converged":
+        # the increment rule also passes slow iterates just above kappa*
+        print(f"kappa-star: the lower end kappa = {est.lower!r} met the "
+              "solver.tol increment rule but found no supersolution; the "
+              "bracket may lie above kappa* (tighten solver.tol)",
+              file=sys.stderr)
     return 0
 
 

@@ -64,9 +64,8 @@ class _Stepper:
         """
         J = jacobian(self.K, Field(self.K.grid, u), self.p)
         self.factorizations += 1
-        with np.errstate(all="ignore"):
-            lu = lu_factor(J)
-            b = lu_solve(lu, self.Pmu.values)
+        lu = lu_factor(J)
+        b = lu_solve(lu, self.Pmu.values)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")
         scale = np.sqrt(self._dot(b, b) + 1.0)
@@ -112,8 +111,7 @@ class _Stepper:
                     lu_J = None     # dropped before the next J forms
                     lu_J, du_J, dk_J = self.tangent(u, (du, dk))
                 self.corrector_steps += 1
-                with np.errstate(all="ignore"):
-                    a = lu_solve(lu_J, F)
+                a = lu_solve(lu_J, F)
                 t = self._dot(du, a) - c
                 if lu_J is not lu:
                     t /= self._dot(du, du_J) + dk * dk_J

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# highest grid height: the kernels square node heights and their sums
-_MAX_HEIGHT = np.sqrt(np.finfo(float).max) / 4.0
+# largest grid extent: the kernels square node heights, radii and their sums
+_MAX_EXTENT = np.sqrt(np.finfo(float).max) / 4.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,11 @@ def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
         raise ValueError(f"unsupported dimension {dimension!r}")
     if R <= 0.0 or H <= 0.0:
         raise ValueError("grid extents must be positive")
-    if H > _MAX_HEIGHT:
-        raise ValueError(f"grid height H = {H:g} is above {_MAX_HEIGHT:.4g}, "
+    if H > _MAX_EXTENT:
+        raise ValueError(f"grid height H = {H:g} is above {_MAX_EXTENT:.4g}, "
+                         "where squared distances between nodes overflow")
+    if dimension > 1 and R > _MAX_EXTENT:
+        raise ValueError(f"grid radius R = {R:g} is above {_MAX_EXTENT:.4g}, "
                          "where squared distances between nodes overflow")
     if nodes_height < 2 or (dimension > 1 and nodes_lateral < 2):
         raise ValueError("need at least 2 nodes per direction")
@@ -93,7 +96,11 @@ def build_grid(dimension: int, R: float, H: float, nodes_lateral: int,
         nodes = np.zeros((nodes_lateral * nodes_height, dimension))
         nodes[:, 0] = rr.ravel()
         nodes[:, -1] = zz.ravel()
-        weights = (ring[:, None] * z_w[None, :]).ravel()
+        with np.errstate(over="ignore"):    # tested below, not warned of
+            weights = (ring[:, None] * z_w[None, :]).ravel()
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"grid radius R = {R:g} with height H = {H:g} "
+                             "overflows the ring weights 2 pi r dr dz")
         cells = np.column_stack([
             np.broadcast_to(r_w[:, None], rr.shape).ravel(),
             np.broadcast_to(z_w[None, :], rr.shape).ravel(),

@@ -43,8 +43,6 @@ HALF_LINE_VECTORS = 64
 
 # kernel evaluations per assembly block; bounds every assembly temporary
 _BLOCK_ENTRIES = 500_000
-# columns per block when jacobian writes its Fortran-ordered J
-_JACOBIAN_COLUMNS = 64
 # largest height span of one chunk of the N = 1 matvec: its scaled
 # exponentials stay within e^{+-300}, far inside float64's e^{+-709}
 _CHUNK_SPAN = 300.0
@@ -58,8 +56,6 @@ _GAUSS_ANGLES_DIAGONAL = 256
 _TRACE_ORDER = 12  # points per Gauss-Legendre panel of the radial trace
 _PAIR = (np.array([0.0, np.pi]), np.array([0.5, 0.5]))
 _SPECTRUM_ITERS = 20_000
-_SVD_TOL = 1e-10
-_SVD_ITERS = 500
 
 
 class IterationLimitError(RuntimeError):
@@ -97,15 +93,10 @@ class KernelMatrix:
 
     def jacobian(self, weights: np.ndarray) -> np.ndarray:
         """I - S diag(w * weights), Fortran-ordered, so lu_factor overwrites
-        it instead of copying it first."""
-        n = self.grid.n_nodes
-        J = np.empty((n, n), order="F")
-        neg_weights = -self.grid.quad_weights * weights
-        # column blocks keep both the C-ordered reads and the F-ordered writes
-        # cache-friendly; one strided pass over the whole matrix is slower
-        for lo in range(0, n, _JACOBIAN_COLUMNS):
-            cols = slice(lo, lo + _JACOBIAN_COLUMNS)
-            np.multiply(self.kernel[:, cols], neg_weights[cols], out=J[:, cols])
+        it instead of copying it first.  S = S.T, so it is the transpose of
+        the C-ordered diag(w * weights) S, written in one pass."""
+        J = np.multiply(self.kernel,
+                        -(self.grid.quad_weights * weights)[:, None]).T
         J[np.diag_indices_from(J)] += 1.0
         return J
 
@@ -223,10 +214,6 @@ class TridiagonalJacobian:
     diag: np.ndarray
     upper: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.diag.size, self.diag.size)
-
 
 @dataclass(frozen=True)
 class _TridiagonalLU:
@@ -234,10 +221,13 @@ class _TridiagonalLU:
     factors: tuple              # gttrf factors of A
 
     def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        # J^{-1} b = A^{-1} (T b) and J^{-T} b = T (A^{-T} b)
-        if trans:
-            return self.green.t_times(_tridiagonal_solve(self.factors, b, "T"))
-        return _tridiagonal_solve(self.factors, self.green.t_times(b))
+        # J^{-1} b = A^{-1} (T b) and J^{-T} b = T (A^{-T} b); a singular A
+        # gives non-finite entries, returned without a warning, as by getrs
+        with np.errstate(all="ignore"):
+            if trans:
+                return self.green.t_times(
+                    _tridiagonal_solve(self.factors, b, "T"))
+            return _tridiagonal_solve(self.factors, self.green.t_times(b))
 
 
 GreenOperator = KernelMatrix | HalfLineGreen
@@ -643,7 +633,7 @@ def lu_factor(J):
     A dense J is factorized by LAPACK getrf, in place when it is
     Fortran-ordered; the tridiagonal A of the N = 1 Jacobian by gttrf, in
     O(n).  A singular J is not reported here: its solves come out with
-    non-finite entries.
+    non-finite entries, and no warning.
     """
     if isinstance(J, TridiagonalJacobian):
         return _TridiagonalLU(J.green, _tridiagonal_factors(J.lower, J.diag,
@@ -658,29 +648,3 @@ def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
         return lu.solve(b, trans)
     return _lapack("dgetrs")(*lu, b, trans=trans)[0]
 
-
-def smallest_singular_value(J) -> float:
-    """Smallest singular value of a Jacobian by inverse power iteration on
-    J^T J; J is factorized in place, as by lu_factor.
-
-    Returns 0.0 if J is numerically singular.
-    """
-    n = J.shape[0]
-    if J.shape != (n, n):
-        raise ValueError("J must be square")
-    with np.errstate(all="ignore"):
-        lu = lu_factor(J)
-        x = np.ones(n) / np.sqrt(n)
-        sigma = np.inf
-        for _ in range(_SVD_ITERS):
-            y = lu_solve(lu, x, trans=1)
-            v = lu_solve(lu, y, trans=0)
-            norm = np.linalg.norm(v)
-            if not np.isfinite(norm) or norm == 0.0:
-                return 0.0
-            new_sigma = 1.0 / np.sqrt(norm)
-            x = v / norm
-            if abs(new_sigma - sigma) <= _SVD_TOL * max(new_sigma, 1e-300):
-                return new_sigma
-            sigma = new_sigma
-    return sigma

@@ -16,9 +16,8 @@ from scalarfield.continuation import (detect_fold, solutions_at_kappa,
                                       trace_branch)
 from scalarfield.discretization import Field, build_grid
 from scalarfield.exponents import critical_exponents, stabilization_index
-from scalarfield.operators import (assemble_green, jacobian,
-                                   linearized_spectrum, poisson_trace,
-                                   smallest_singular_value)
+from scalarfield.operators import (assemble_green, linearized_spectrum,
+                                   poisson_trace)
 from scalarfield.solver import estimate_kappa_star, monotone_iterate
 from scalarfield.verify import (verify_gintest_scaling, verify_glaa,
                                 verify_kernel_identities,
@@ -184,10 +183,14 @@ def test_monotone_structure_and_fold_degeneracy(K_acc, Pmu_acc):
         assert rep.passed, rep.details
         assert rep.statistic <= 1e-10
 
-        sigmas = []
+        # at the exact fold state sqrt(2) sech x the linearization's
+        # eigenvalue lambda tends to 1 from above, at order 2 in the grid
+        margins = []
         for n in (1000, 2000, 4000):
             g = build_grid(1, 20.0, 20.0, 1, n, grading=2.0)
             u = Field(g, np.sqrt(2.0) / np.cosh(g.heights))
-            J = jacobian(assemble_green(g), u, 3.0)
-            sigmas.append(smallest_singular_value(J))
-        assert sigmas[0] > sigmas[1] > sigmas[2]
+            lam = linearized_spectrum(assemble_green(g), u, 3.0, tol=1e-12)
+            margins.append(lam.lambda_ - 1.0)
+        assert margins[0] > margins[1] > margins[2] > 0.0
+        for coarse, fine in zip(margins, margins[1:]):
+            assert 3.5 < coarse / fine < 4.5

@@ -197,6 +197,24 @@ class TestCommands:
                        "decided by their increment tail; the bracket is not "
                        "certified (raise solver.max_iter)"]
 
+    def test_kappa_star_flags_a_lower_end_without_certificate(self, tmp_path,
+                                                              capsys):
+        # on 300 nodes the fold is at kappa = 1.4142689586499804; a 1e-7
+        # bracket ends on a probe above it that met the increment rule
+        path = write_config(tmp_path, grid={**FAST_GRID, "nodes_height": 300},
+                            solver={"bracket": [0.5, 2.5],
+                                    "kappa_star_tol": 1e-7})
+        assert run_command(["kappa-star", "--config", path]) == 0
+        results = json.loads(
+            (tmp_path / "out" / "summary.json").read_text())["results"]
+        lower = results["kappa_star"]["lower"]
+        assert lower == 1.414268970489502
+        assert [lower, "converged", 10335] in results["probes"]
+        assert capsys.readouterr().err.splitlines() == [
+            "kappa-star: the lower end kappa = 1.414268970489502 met the "
+            "solver.tol increment rule but found no supersolution; the "
+            "bracket may lie above kappa* (tighten solver.tol)"]
+
     def test_summary_names_the_scipy_version(self, tmp_path):
         import scipy
         path = write_config(tmp_path)
@@ -453,6 +471,15 @@ class TestExitCodes:
         # squared heights overflow; so do the cell midpoints
         (["solve"], {"grid": dict(FAST_GRID, nodes_height=50, H=1e308)},
          None, 2, "grid height H = 1e+308"),
+        # squared radii overflow in the Poisson kernel
+        (["solve"], {"problem": {"N": 2},
+                     "grid": dict(PLANE["grid"], R=1e300)}, None, 2,
+         "grid radius R = 1e+300"),
+        # R and H are in bounds, but 2 pi r dr dz overflows
+        (["solve"], {"problem": {"N": 3},
+                     "grid": {"R": 3.3e153, "H": 3.3e153, "nodes_lateral": 20,
+                              "nodes_height": 4, "grading": 2.0}}, None, 2,
+         "grid radius R = 3.3e+153"),
         # every test norm underflows: the norm bound measures nothing
         (["verify", "--suite", "glaa"], {"exponents": {"q": 1e308}}, None, 2,
          "exponents q = 1e+308"),
@@ -464,7 +491,8 @@ class TestExitCodes:
             "output-dir-is-file", "verify-check-fails",
             "verify-memory-budget", "mass-nan", "p-infinity", "radius-nan",
             "R-infinity", "p-1e400", "q-1e400-glaa", "kappa-400-digits",
-            "grading-subnormal", "H-1e308", "q-1e308-glaa"])
+            "grading-subnormal", "H-1e308", "R-1e300-plane",
+            "R-3.3e153-ring", "q-1e308-glaa"])
     def test_exit_code_paths(self, tmp_path, monkeypatch, capsys, argv,
                              overrides, patch, code, message):
         monkeypatch.chdir(tmp_path)
