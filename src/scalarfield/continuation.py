@@ -50,6 +50,7 @@ class _Stepper:
         self.p = p
         self.corrector_steps = 0    # chord and Newton solves in correct()
         self.factorizations = 0     # Jacobian LUs, one per tangent()
+        self.eigen = None           # the last point's EigenResult
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # mean-weighted product keeps the field and kappa components comparable
@@ -137,9 +138,13 @@ class Branch:
 
 def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float,
                 s: float) -> BranchPoint:
+    """The branch point at (u, kappa); its eigenpair starts from the last
+    point's."""
     f = Field(stepper.K.grid, u)
-    eig = linearized_spectrum(stepper.K, f, stepper.p)
-    return BranchPoint(kappa=kappa, field=f, lambda_=eig.lambda_, arclength=s)
+    stepper.eigen = linearized_spectrum(stepper.K, f, stepper.p,
+                                        start=stepper.eigen)
+    return BranchPoint(kappa=kappa, field=f, lambda_=stepper.eigen.lambda_,
+                       arclength=s)
 
 
 def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,

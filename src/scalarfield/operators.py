@@ -56,6 +56,8 @@ _GAUSS_ANGLES_DIAGONAL = 256
 _TRACE_ORDER = 12  # points per Gauss-Legendre panel of the radial trace
 _PAIR = (np.array([0.0, np.pi]), np.array([0.5, 0.5]))
 _SPECTRUM_ITERS = 20_000
+# Rayleigh-quotient steps a warm start may take (2-4 along a branch)
+_WARM_STEPS = 8
 
 
 class IterationLimitError(RuntimeError):
@@ -588,13 +590,83 @@ class EigenResult:
 
 
 def linearized_spectrum(K: GreenOperator, u: Field, p: float,
-                        tol: float = 1e-8) -> EigenResult:
-    """Power iteration for the dominant eigenpair of h -> G[p u^{p-1} h],
-    one K.matvec per step."""
+                        tol: float = 1e-8,
+                        start: EigenResult | None = None) -> EigenResult:
+    """Dominant eigenpair (rho, psi) of h -> G[p u^{p-1} h], that is of
+    K M with M = diag(p u^{p-1}).  psi is scaled to max entry 1, and it
+    passes once max|K M psi - rho psi| <= tol max|psi|.
+
+    Without `start`, or on an operator whose `refactorize` is not set (a
+    dense one), this is a power iteration from psi = 1, one K.matvec per
+    step.
+
+    `start`, the pair at a nearby state (the previous branch point), is
+    refined by Rayleigh-quotient iteration when `refactorize` is set.  A
+    step takes one K.matvec, for the residual of psi and for rho, the
+    Rayleigh quotient in the product x . (m y) (m = w p u^{p-1}, in the
+    notation of `HalfLineGreen`), in which K M = (S + diag c) diag(m) is
+    symmetric.  Unless psi passes, the step then solves
+    (I - sigma K M) x = psi at the shift sigma = 1/rho, and x scaled to max
+    entry 1 is the next psi.  For N = 1 that solve is the tridiagonal
+    pencil T psi = (1/rho) (I + T C) M psi: its matrix at sigma,
+    T diag(1 - sigma c m) - sigma m, is the A of K.jacobian(sigma * weights),
+    and x solves A x = T psi, so a step is one gttrf, one gttrs, one
+    t_times and one matvec, all O(n).  rho is exact to round-off once psi
+    passes.  The first shift is the larger of rho and start.rho: rho never
+    exceeds the Perron root, and seen from above the Perron root is the
+    nearest eigenvalue, so a start from far along the branch (the fold
+    point's) still finds it.  The refined pair is kept only if psi has no
+    negative entry and is positive wherever the weight is, since the Perron
+    vector is K M's only nonnegative eigenvector.  A psi that fails that
+    test, a singular shift (its non-finite solve warns nowhere) and
+    _WARM_STEPS steps without a pass fall back to the power iteration;
+    `iterations` counts the steps of both.
+    """
     weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
     if not np.any(weights > 0.0):
         raise DegenerateLinearizationError(
             "linearization weight p u^(p-1) vanishes identically")
+    steps = 0
+    if start is not None and K.refactorize:
+        refined, steps = _rayleigh_quotient_iteration(K, weights, start, tol)
+        if refined is not None:
+            return refined
+    return _power_iteration(K, weights, tol, steps)
+
+
+def _rayleigh_quotient_iteration(K: HalfLineGreen, weights: np.ndarray,
+                                 start: EigenResult, tol: float):
+    """(the refined Perron pair, or None to fall back, and the steps
+    taken); see `linearized_spectrum`."""
+    m = K.grid.quad_weights * weights
+    with np.errstate(all="ignore"):
+        psi = start.eigenfield.values
+        psi = psi / psi[np.argmax(np.abs(psi))]
+        for step in range(1, _WARM_STEPS + 1):
+            v = K.matvec(weights * psi)
+            mpsi = m * psi
+            rho = float(np.dot(mpsi, v) / np.dot(mpsi, psi))
+            residual = float(np.max(np.abs(v - rho * psi)))
+            if not np.isfinite(residual):
+                return None, step
+            if residual <= tol:
+                if np.any(psi < 0.0) or np.any(psi[weights > 0.0] <= 0.0):
+                    return None, step       # not the Perron vector
+                return EigenResult(rho=rho, lambda_=1.0 / rho,
+                                   eigenfield=Field(K.grid, psi),
+                                   iterations=step, residual=residual), step
+            shift = max(rho, start.rho) if step == 1 else rho
+            # (I - K M / shift)^{-1} psi, with the Jacobian at weights / shift
+            A = K.jacobian(weights / shift)
+            x = _TridiagonalLU(K, _tridiagonal_factors(A.lower, A.diag,
+                                                       A.upper)).solve(psi, 0)
+            psi = x / x[np.argmax(np.abs(x))]
+    return None, _WARM_STEPS
+
+
+def _power_iteration(K: GreenOperator, weights: np.ndarray, tol: float,
+                     steps: int) -> EigenResult:
+    """Power iteration from psi = 1; `steps` were taken before it."""
     psi = np.ones(K.grid.n_nodes)
     rho = 0.0
     residual = np.inf
@@ -609,7 +681,7 @@ def linearized_spectrum(K: GreenOperator, u: Field, p: float,
             psi = v / rho
             return EigenResult(rho=rho, lambda_=1.0 / rho,
                                eigenfield=Field(K.grid, psi),
-                               iterations=it, residual=residual)
+                               iterations=steps + it, residual=residual)
         psi = v / rho
     raise IterationLimitError(
         f"power iteration did not reach tol={tol:g} in {_SPECTRUM_ITERS} steps "

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
-from scalarfield import continuation
+from scalarfield import continuation, operators
 from scalarfield.cli import OUTPUT_DIR_ENV, run_command
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
 from scalarfield.operators import (KernelMatrix, assemble_green,
-                                   poisson_trace)
+                                   linearized_spectrum, poisson_trace)
 from scalarfield.solver import monotone_iterate, psi_map
 
 from conftest import peak_allocation, soliton
@@ -246,6 +246,78 @@ class TestDetectFold:
         assert short.fold_index is None
         with pytest.raises(ValueError):
             detect_fold(short)
+
+
+WARM_CASES = [(300, 20.0, 3.0), (2000, 20.0, 3.0), (2000, 800.0, 3.0),
+              (2000, 20.0, 2.0), (2000, 20.0, 5.0)]
+
+
+def _case_id(case):
+    return f"{case[0]}-H{case[1]:g}-p{case[2]:g}"
+
+
+@pytest.fixture(scope="module", params=WARM_CASES, ids=_case_id)
+def warm_branch(request):
+    """(K, p, a half-line branch from kappa = 0.2 through the fold, its fold
+    point, every eigenpair computed for them in call order as (started
+    warm, iterations), the number of power iterations run); at H = 800 the
+    state underflows to 0.0 high above the wall."""
+    n, H, p = request.param
+    g = build_grid(1, H, H, 1, n)
+    K = assemble_green(g)
+    Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+    calls, cold = [], []
+    spectrum = continuation.linearized_spectrum
+    power = operators._power_iteration
+
+    def recording_spectrum(*args, start=None):
+        result = spectrum(*args, start=start)
+        calls.append((start is not None, result.iterations))
+        return result
+
+    def counting_power(*args):
+        cold.append(1)
+        return power(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "linearized_spectrum", recording_spectrum)
+        mp.setattr(operators, "_power_iteration", counting_power)
+        branch = trace_branch(0.2, K, Pmu, p)
+        _, fold = detect_fold(branch)
+    return K, p, branch, fold, calls, len(cold)
+
+
+class TestWarmEigenpairs:
+    """Each branch point's eigenpair is refined from the last one's."""
+
+    def test_only_the_first_point_starts_cold(self, warm_branch):
+        _, _, branch, _, calls, cold = warm_branch
+        assert [warm for warm, _ in calls] == \
+            [False] + [True] * len(branch.points)
+        # no warm call fell back to the power iteration
+        assert cold == 1
+
+    def test_lambda_matches_the_cold_oracle(self, warm_branch):
+        K, p, branch, fold, _, _ = warm_branch
+        first = branch.points[0]
+        assert first.lambda_ == linearized_spectrum(K, first.field, p).lambda_
+        for pt in branch.points[1:] + [fold]:
+            ref = linearized_spectrum(K, pt.field, p, tol=1e-13).lambda_
+            assert abs(pt.lambda_ / ref - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("warm_branch", WARM_CASES[:3], ids=_case_id,
+                             indirect=True)
+    def test_fold_point_lambda_is_one(self, warm_branch):
+        # J = I - K M is singular at the fold, where lambda = 1
+        fold = warm_branch[3]
+        assert abs(fold.lambda_ - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("warm_branch", WARM_CASES[:1], ids=_case_id,
+                             indirect=True)
+    def test_warm_points_take_few_steps(self, warm_branch):
+        # a silent fallback costs more than the cold power iteration did
+        _, _, branch, _, calls, cold = warm_branch
+        assert cold == 1
+        assert max(steps for _, steps in calls[1:len(branch.points)]) <= 4
 
 
 class TestSolutionsAtKappa:

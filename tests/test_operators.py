@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from scipy.special import k1
 from scalarfield import kernels, operators
 from scalarfield.discretization import Field, build_grid
 from scalarfield.kernels import green_G, poisson_P
-from scalarfield.operators import (HalfLineGreen, IterationLimitError,
-                                   _assemble_dense, _cell_average,
-                                   apply_green, assemble_green,
-                                   check_matrix_budget,
+from scalarfield.operators import (EigenResult, HalfLineGreen,
+                                   IterationLimitError, _assemble_dense,
+                                   _cell_average, apply_green,
+                                   assemble_green, check_matrix_budget,
                                    check_memory_budget, jacobian,
                                    linearized_spectrum, lu_factor, lu_solve,
                                    poisson_trace)
 from scalarfield.solver import monotone_iterate
 
-from conftest import peak_allocation
+from conftest import peak_allocation, soliton
 
 # a density with kinks at the knots 1 and 2, vanishing at r_max = 3
 KINKED = {"type": "radial_density", "radii": [0.0, 1.0, 2.0, 3.0],
@@ -390,6 +391,93 @@ class TestLinearizedSpectrum:
         s = np.linalg.svd(Ta, compute_uv=False)
         assert s[19] / s[0] < 5e-3
         assert s[39] / s[0] < 1e-3
+
+
+@pytest.fixture(scope="module")
+def warm_state():
+    """A 300-node half-line state (the p = 3 soliton at kappa = 1), its
+    O(n) and dense operators, and the dense eigenpairs of K M there,
+    largest first."""
+    g = build_grid(1, 20.0, 20.0, 1, 300)
+    u = Field(g, soliton(g.heights, 1.0))
+    dense = _assemble_dense(g)
+    m = g.quad_weights * 3.0 * u.values ** 2
+    rho, vectors = np.linalg.eig(dense.kernel * m[None, :])
+    order = np.argsort(-rho.real)
+    return g, assemble_green(g), dense, u, rho.real[order], \
+        vectors.real[:, order]
+
+
+def _pair(g, rho, psi):
+    return EigenResult(rho=rho, lambda_=1.0 / rho, eigenfield=Field(g, psi),
+                       iterations=0, residual=0.0)
+
+
+def _count_power_iterations(monkeypatch):
+    """A list that gains an entry at each power iteration run."""
+    calls = []
+    power = operators._power_iteration
+
+    def counting(*args):
+        calls.append(1)
+        return power(*args)
+    monkeypatch.setattr(operators, "_power_iteration", counting)
+    return calls
+
+
+class TestWarmStart:
+    """`linearized_spectrum` refined from a start pair (N = 1)."""
+
+    def test_nearby_start_refines_to_round_off(self, warm_state,
+                                               monkeypatch):
+        g, K, _, u, _, _ = warm_state
+        cold = _count_power_iterations(monkeypatch)
+        start = linearized_spectrum(K, Field(g, soliton(g.heights, 0.95)),
+                                    3.0)
+        res = linearized_spectrum(K, u, 3.0, start=start)
+        ref = linearized_spectrum(K, u, 3.0, tol=1e-13)
+        assert len(cold) == 2       # the start and the oracle
+        assert res.iterations <= 4
+        assert abs(res.lambda_ / ref.lambda_ - 1.0) <= 1e-10
+        psi = res.eigenfield.values
+        assert np.max(psi) == 1.0 and np.all(psi > 0.0)
+        assert res.residual <= 1e-8
+        np.testing.assert_allclose(psi, ref.eigenfield.values, atol=1e-8)
+
+    @pytest.mark.parametrize("case", ["sign-change", "singular-shift",
+                                      "zero"])
+    def test_bad_start_returns_the_cold_pair_without_warnings(
+            self, warm_state, monkeypatch, case):
+        # the second eigenpair has a sign change, so it is refused; the
+        # Perron root makes the first shifted pencil singular to round-off;
+        # a zero eigenfield makes every step non-finite
+        g, K, _, u, rho, vectors = warm_state
+        cold = _count_power_iterations(monkeypatch)
+        start = {"sign-change": _pair(g, rho[1], vectors[:, 1]),
+                 "singular-shift": _pair(g, rho[0], np.ones(g.n_nodes)),
+                 "zero": _pair(g, rho[0], np.zeros(g.n_nodes))}[case]
+        assert np.min(vectors[:, 1]) < 0.0 < np.max(vectors[:, 1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = linearized_spectrum(K, u, 3.0, tol=1e-12, start=start)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert len(cold) == (0 if case == "singular-shift" else 1)
+        ref = linearized_spectrum(K, u, 3.0, tol=1e-12)
+        assert abs(res.lambda_ / ref.lambda_ - 1.0) <= 1e-10
+        assert np.all(res.eigenfield.values >= 0.0)
+        if case == "zero":
+            # the first non-finite step ends the refinement, and counts
+            assert res.iterations == ref.iterations + 1
+
+    def test_dense_operator_ignores_the_start(self, warm_state):
+        g, _, dense, u, rho, vectors = warm_state
+        res = linearized_spectrum(dense, u, 3.0,
+                                  start=_pair(g, rho[0], vectors[:, 0]))
+        ref = linearized_spectrum(dense, u, 3.0)
+        assert res.iterations == ref.iterations
+        assert res.lambda_ == ref.lambda_
+        assert np.array_equal(res.eigenfield.values, ref.eigenfield.values)
 
 
 class TestJacobianAndSingularValues:

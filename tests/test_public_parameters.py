@@ -32,7 +32,7 @@ DEFAULTED = {
     "build_grid": ["grading"],
     "estimate_kappa_star": ["bracket", "tol", "solver_tol", "max_iter",
                             "blowup_cap"],
-    "linearized_spectrum": ["tol"],
+    "linearized_spectrum": ["tol", "start"],
     "monotone_iterate": ["tol", "max_iter", "blowup_cap"],
     "poisson_P": ["z"],
     "trace_branch": ["step", "max_points"],
@@ -55,7 +55,7 @@ def defaulted_parameters() -> dict[str, list[str]]:
 
 def test_public_defaulted_parameters_are_pinned():
     assert defaulted_parameters() == DEFAULTED
-    assert sum(len(params) for params in DEFAULTED.values()) == 14
+    assert sum(len(params) for params in DEFAULTED.values()) == 15
 
 
 def test_public_names_are_pinned():
