@@ -1,20 +1,24 @@
 """Pseudo-arclength continuation of the solution branch in kappa.
 
 The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
-past the fold where the minimal and the second branch meet.  The Jacobian
-is factorized at each accepted point, where it gives the tangent.  The
-corrector solves the bordered system with one factorized Jacobian at a
-time, one triangular solve per iteration: the accepted point's (a chord),
-or, when the Green operator's `refactorize` is set, a fresh one at every
-iterate after the first (bordered Newton).  The O(n) N = 1 operator sets
-it; a dense one, whose LU costs more chord steps than a point takes, does not.
+past the fold where the minimal and the second branch meet.  Each accepted
+point holds a factorized Jacobian and the tangent it gives.  The corrector
+solves the bordered system with one factorized Jacobian at a time, one
+triangular solve per iteration: the accepted point's (a chord), or, when
+the Green operator's `refactorize` is set, a fresh one at every iterate
+after the first (bordered Newton), the last of which, one Newton step
+before the corrected point, is that point's tangent.  The O(n) N = 1
+operator sets it; a dense one, whose LU costs more chord steps than a
+point takes, does not, and factorizes each accepted point once more for
+its tangent.  The fold is solved for by Newton's method on the minimally
+extended system (`detect_fold`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +33,7 @@ _STEP_MAX = 0.2
 _STEP_GROW = 1.3
 _NEWTON_TOL = 1e-11
 _CORRECTOR_ITERS = 50
-_FOLD_TOL = 1e-8
-_FOLD_REFINE = 40
+_FOLD_REFINE = 10      # Newton steps on the extended fold system
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,13 @@ class _Stepper:
         self.K = K
         self.Pmu = Pmu
         self.p = p
-        self.corrector_steps = 0    # chord and Newton solves in correct()
-        self.factorizations = 0     # Jacobian LUs, one per tangent()
+        # Jacobian LUs (each tangent() and fold Newton step), and the solves
+        # besides each LU's first (corrector steps, the fold's other three)
+        self.factorizations = 0
+        self.corrector_steps = 0
         self.eigen = None           # the last point's EigenResult
+        self.top_kappa = -math.inf  # the max-kappa point's kappa and pair
+        self.top_eigen = None
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # mean-weighted product keeps the field and kappa components comparable
@@ -79,7 +86,7 @@ class _Stepper:
     def correct(self, u_prev: np.ndarray, kappa_prev: float, tang, ds: float):
         """Newton from the predictor at arclength ds back onto the branch.
 
-        tang = (lu, du, dk) comes from tangent() at (u_prev, kappa_prev).
+        tang = (lu, du, dk) is the tangent returned with (u_prev, kappa_prev).
         Each iterate takes one bordered step with the factorized Jacobian J
         and its unit tangent (du_J, dk_J): the solve a = J^{-1} F plus the
         multiple t = (<du, a> - c) / (<du, du_J> + dk dk_J) of that tangent.
@@ -90,7 +97,9 @@ class _Stepper:
         the previous one after a refactorization ends the correction:
         Newton has left its basin, and a shorter step does better.  Returns
         (u, kappa, tangent oriented along (du, dk)) at the corrected point,
-        or None if the correction fails or a Jacobian is singular.
+        or None if the correction fails or a Jacobian is singular.  After a
+        refactorization the tangent is the last one's, formed one Newton
+        step before the corrected point; a chord forms a fresh one there.
         """
         lu, du, dk = tang
         lu_J, du_J, dk_J = tang     # the factorized point, here a chord
@@ -102,6 +111,8 @@ class _Stepper:
                 c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
                 F_sup = float(np.max(np.abs(F)))
                 if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
+                    if lu_J is not lu:
+                        return u, kappa, (lu_J, du_J, dk_J)
                     lu_J = None     # K, the caller's LU and the new J stay alive
                     return u, kappa, self.tangent(u, (du, dk))
                 residual = max(F_sup, abs(c))
@@ -143,6 +154,8 @@ def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float,
     f = Field(stepper.K.grid, u)
     stepper.eigen = linearized_spectrum(stepper.K, f, stepper.p,
                                         start=stepper.eigen)
+    if kappa > stepper.top_kappa:
+        stepper.top_kappa, stepper.top_eigen = kappa, stepper.eigen
     return BranchPoint(kappa=kappa, field=f, lambda_=stepper.eigen.lambda_,
                        arclength=s)
 
@@ -193,37 +206,71 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
 
 
 def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
-    """Locate the fold by driving the kappa component of the tangent to zero.
+    """Locate the fold by Newton's method on the minimally extended system
 
-    Newton iteration on dkappa(s) = 0 along the branch, using the secant
-    slope of the tangent component between successive refinement states.
-    Stops at the last corrected state if a corrector step fails.
+        F(u, kappa) = 0,   g(u) = 0,   [J b; c^T 0] [v; g] = [0; 1],
+
+    with J = I - K M the Jacobian at u (Govaerts, *Numerical Methods for
+    Bifurcations of Dynamical Equilibria*, SIAM 2000, ch. 3; Moore & Spence,
+    SIAM J. Numer. Anal. 17, 1980).  g vanishes exactly where J is
+    singular.  The borders approximate J's null vectors at the fold: b is
+    the Perron eigenfield psi of the max-kappa branch point and c = m psi
+    (m = w p u^{p-1}, w the quadrature weights), the left one, scaled to
+    c . b = 1, so that g is about 1 - lambda.  Newton starts at the
+    max-kappa point.  A step makes one LU of J and four solves: J^{-1} b,
+    J^{-T} c, a = J^{-1} F and d = J^{-1} Pmu.  With the left vector
+    y = J^{-T} c / (b . J^{-T} c) and v = J^{-1} b / (c . J^{-1} b),
+    grad g = p (p-1) u^{p-2} v K^T y, where K^T y = w K(y / w) because
+    K = S W with S symmetric.  The step is dkappa = (grad g . a - g) /
+    (grad g . d), u <- u - a + dkappa d.  It stops once |F| and |g| are
+    at most _NEWTON_TOL at an iterate; its eigenpair is refined from
+    J^{-1} b there.  A non-finite step, or _FOLD_REFINE steps without a
+    pass, returns the max-kappa point itself.
     """
     if branch.fold_index is None:
         raise ValueError("branch has no fold; trace further before detecting")
     stepper = branch.stepper
-    i = int(np.argmax(branch.kappas))
-    pt = branch.points[i]
-    u, kappa = pt.field.values.copy(), pt.kappa
-    # orient consistently with the pre-fold direction
-    prev_pt = branch.points[max(i - 1, 0)]
-    tang = stepper.tangent(u, (u - prev_pt.field.values, kappa - prev_pt.kappa))
-    slope = None
-    for _ in range(_FOLD_REFINE):
-        if abs(tang[2]) <= _FOLD_TOL:
-            break
-        if slope is None:
-            # probe with a small step to estimate d(dkappa)/ds
-            ds = -np.sign(tang[2]) * 1e-3
-        else:
-            ds = float(np.clip(-tang[2] / slope, -0.05, 0.05))
-        result = stepper.correct(u, kappa, tang, ds)
-        if result is None:
-            break
-        u, kappa, tang_new = result
-        slope = (tang_new[2] - tang[2]) / ds
-        tang = tang_new
-    return kappa, _make_point(stepper, u, kappa, pt.arclength)
+    K, Pmu, p = stepper.K, stepper.Pmu, stepper.p
+    top = branch.points[int(np.argmax(branch.kappas))]
+    w = K.grid.quad_weights
+    u, kappa = top.field.values, top.kappa
+    b = stepper.top_eigen.eigenfield.values
+    c = w * p * np.maximum(u, 0.0) ** (p - 1.0) * b
+    c /= np.dot(c, b)
+    with np.errstate(all="ignore"):
+        for _ in range(_FOLD_REFINE):
+            F = u - psi_map(u, kappa, K, Pmu, p)
+            lu = lu_factor(jacobian(K, Field(K.grid, u), p))
+            stepper.factorizations += 1
+            Jb = lu_solve(lu, b)
+            if not np.all(np.isfinite(Jb)):
+                break
+            g = -1.0 / np.dot(c, Jb)
+            if np.max(np.abs(F)) <= _NEWTON_TOL and abs(g) <= _NEWTON_TOL:
+                # J^{-1} b is the null vector to round-off: a start that
+                # passes at the first step
+                f = Field(K.grid, u)
+                eigen = linearized_spectrum(K, f, p, start=replace(
+                    stepper.top_eigen, eigenfield=Field(K.grid, Jb)))
+                return kappa, BranchPoint(kappa=kappa, field=f,
+                                          lambda_=eigen.lambda_,
+                                          arclength=top.arclength)
+            y = lu_solve(lu, c, 1)
+            y /= np.dot(b, y)
+            a = lu_solve(lu, F)
+            d = lu_solve(lu, Pmu.values)
+            stepper.corrector_steps += 3
+            v = -g * Jb
+            # u^{p-2} only where u > 0: it is infinite where u underflows
+            # to 0.0 and p < 2
+            grad = (np.where(u > 0.0, p * (p - 1.0) * u ** (p - 2.0), 0.0)
+                    * v * (w * K.matvec(y / w)))
+            dkappa = (np.dot(grad, a) - g) / np.dot(grad, d)
+            u = u - a + dkappa * d
+            kappa = kappa + dkappa
+            if not (np.isfinite(kappa) and np.all(np.isfinite(u))):
+                break
+    return top.kappa, top
 
 
 def solutions_at_kappa(branch: Branch, kappa: float) -> list[Field]:

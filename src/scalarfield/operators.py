@@ -602,20 +602,21 @@ def linearized_spectrum(K: GreenOperator, u: Field, p: float,
 
     `start`, the pair at a nearby state (the previous branch point), is
     refined by Rayleigh-quotient iteration when `refactorize` is set.  A
-    step takes one K.matvec, for the residual of psi and for rho, the
-    Rayleigh quotient in the product x . (m y) (m = w p u^{p-1}, in the
+    step needs the product K M psi, for the residual of psi and for rho,
+    the Rayleigh quotient in the product x . (m y) (m = w p u^{p-1}, in the
     notation of `HalfLineGreen`), in which K M = (S + diag c) diag(m) is
     symmetric.  Unless psi passes, the step then solves
     (I - sigma K M) x = psi at the shift sigma = 1/rho, and x scaled to max
-    entry 1 is the next psi.  For N = 1 that solve is the tridiagonal
-    pencil T psi = (1/rho) (I + T C) M psi: its matrix at sigma,
-    T diag(1 - sigma c m) - sigma m, is the A of K.jacobian(sigma * weights),
-    and x solves A x = T psi, so a step is one gttrf, one gttrs, one
-    t_times and one matvec, all O(n).  rho is exact to round-off once psi
-    passes.  The first shift is the larger of rho and start.rho: rho never
-    exceeds the Perron root, and seen from above the Perron root is the
-    nearest eigenvalue, so a start from far along the branch (the fold
-    point's) still finds it.  The refined pair is kept only if psi has no
+    entry 1 is the next psi.  Only the first step calls K.matvec: the solve
+    gives the next product, K M x = (x - psi) / sigma.  For N = 1 that
+    solve is the tridiagonal pencil T psi = (1/rho) (I + T C) M psi: its
+    matrix at sigma, T diag(1 - sigma c m) - sigma m, is the A of
+    K.jacobian(sigma * weights), and x solves A x = T psi, so a step is one
+    gttrf, one gttrs and one t_times, all O(n).  rho is exact to round-off
+    once psi passes.  The first shift is the larger of rho and start.rho:
+    rho never exceeds the Perron root, and seen from above the Perron root
+    is the nearest eigenvalue, so a start from far along the branch still
+    finds it.  The refined pair is kept only if psi has no
     negative entry and is positive wherever the weight is, since the Perron
     vector is K M's only nonnegative eigenvector.  A psi that fails that
     test, a singular shift (its non-finite solve warns nowhere) and
@@ -642,8 +643,8 @@ def _rayleigh_quotient_iteration(K: HalfLineGreen, weights: np.ndarray,
     with np.errstate(all="ignore"):
         psi = start.eigenfield.values
         psi = psi / psi[np.argmax(np.abs(psi))]
+        v = K.matvec(weights * psi)
         for step in range(1, _WARM_STEPS + 1):
-            v = K.matvec(weights * psi)
             mpsi = m * psi
             rho = float(np.dot(mpsi, v) / np.dot(mpsi, psi))
             residual = float(np.max(np.abs(v - rho * psi)))
@@ -660,7 +661,10 @@ def _rayleigh_quotient_iteration(K: HalfLineGreen, weights: np.ndarray,
             A = K.jacobian(weights / shift)
             x = _TridiagonalLU(K, _tridiagonal_factors(A.lower, A.diag,
                                                        A.upper)).solve(psi, 0)
-            psi = x / x[np.argmax(np.abs(x))]
+            scale = x[np.argmax(np.abs(x))]
+            # K M x = shift (x - psi): the next product, without a matvec
+            v = shift * (x - psi) / scale
+            psi = x / scale
     return None, _WARM_STEPS
 
 

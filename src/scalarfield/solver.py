@@ -28,6 +28,8 @@ _DIVERGENCE_STREAK = 20
 _CERTIFY_EVERY = 8
 _NEWTON_TOL = 1e-12
 _NEWTON_ITERS = 50
+# iterates U_0, U_1, ... a monotone run keeps for verify's structure check
+_FIRST_ITERATES = 10
 
 
 class BracketError(ValueError):
@@ -49,6 +51,7 @@ class SolveResult:
     iterations: int
     residual_sup: float
     increments: np.ndarray      # sup |U_{j+1} - U_j| per step
+    first_iterates: tuple       # U_0, U_1, ..., min(10, iterations) of them
 
     @property
     def converged(self) -> bool:
@@ -65,9 +68,9 @@ def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
                      tol: float = 1e-8, max_iter: int = 100_000,
                      blowup_cap: float = 1e6) -> SolveResult:
     """Iterate the fixed-point map from U_0 = Pmu until convergence or blow-up."""
-    status, last, iterations, increments, _ = _iterate(
+    status, last, iterations, increments, _, first = _iterate(
         kappa, K, Pmu, p, tol=tol, max_iter=max_iter, blowup_cap=blowup_cap,
-        certify=False)
+        certify=False, keep=_FIRST_ITERATES)
     if status == "diverged":
         solution, residual = None, np.inf
     else:
@@ -75,17 +78,19 @@ def monotone_iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float,
         residual = (float(np.max(np.abs(psi_map(last, kappa, K, Pmu, p) - last)))
                     if status == "converged" else increments[-1])
     return SolveResult(status=status, solution=solution, iterations=iterations,
-                       residual_sup=residual, increments=np.array(increments))
+                       residual_sup=residual, increments=np.array(increments),
+                       first_iterates=tuple(first))
 
 
 def _iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float, *,
              tol: float, max_iter: int, blowup_cap: float, certify: bool,
-             start: np.ndarray | None = None):
+             start: np.ndarray | None = None, keep: int = 0):
     """The monotone iteration U_{j+1} = Psi(U_j) from U_0 = start, or Pmu.
 
     Returns (status, last iterate, iterations, sup increments, psi_map
-    calls).  With `certify`, every _CERTIFY_EVERY steps it also tries to
-    stop early with status "certified" (see `_is_supersolution_step`).
+    calls, the first `keep` iterates U_0, U_1, ...).  With `certify`, every
+    _CERTIFY_EVERY steps it also tries to stop early with status
+    "certified" (see `_is_supersolution_step`).
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
@@ -93,9 +98,12 @@ def _iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float, *,
         raise ValueError("tol, max_iter and blowup_cap must be positive")
     u = (Pmu.values if start is None else start).copy()
     increments = []
+    first = []
     checks = 0
     growth_streak = 0
     for it in range(1, max_iter + 1):
+        if len(first) < keep:
+            first.append(u)
         nxt = psi_map(u, kappa, K, Pmu, p)
         step = nxt - u
         inc = float(np.max(np.abs(step)))
@@ -107,17 +115,18 @@ def _iterate(kappa: float, K: GreenOperator, Pmu: Field, p: float, *,
             growth_streak = 0
         if (not np.isfinite(sup) or sup > blowup_cap
                 or growth_streak >= _DIVERGENCE_STREAK):
-            return "diverged", nxt, it, increments, it + checks
+            return "diverged", nxt, it, increments, it + checks, first
         if inc <= tol * sup:
-            return "converged", nxt, it, increments, it + checks
+            return "converged", nxt, it, increments, it + checks, first
         if certify and it % _CERTIFY_EVERY == 0:
             certified = _is_supersolution_step(u, nxt, step, increments,
                                                kappa, K, Pmu, p)
             checks += certified is not None
             if certified:
-                return "certified", nxt, it, increments, it + checks
+                return "certified", nxt, it, increments, it + checks, first
         u = nxt
-    return "iteration_limit", nxt, max_iter, increments, max_iter + checks
+    return ("iteration_limit", nxt, max_iter, increments, max_iter + checks,
+            first)
 
 
 def _is_supersolution_step(u, nxt, step, increments, kappa, K, Pmu,
@@ -199,7 +208,7 @@ def _classify(kappa: float, K: GreenOperator, Pmu: Field, p: float,
               start: np.ndarray | None):
     """One bisection probe: (outcome, whether a solution exists, last
     iterate, psi_map calls)."""
-    status, last, _, increments, maps = _iterate(
+    status, last, _, increments, maps, _ = _iterate(
         kappa, K, Pmu, p, tol=tol, max_iter=max_iter, blowup_cap=blowup_cap,
         certify=True, start=start)
     if status != "iteration_limit":

@@ -40,7 +40,7 @@ from .kernels import fundamental_E, fundamental_dE, green_G, poisson_P
 from .operators import (_BLOCK_ENTRIES, GreenOperator, _doublings,
                         apply_green, assemble_green, gauss_panels,
                         linearized_spectrum)
-from .solver import monotone_iterate, psi_map
+from .solver import monotone_iterate
 
 MASS_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -392,12 +392,8 @@ def verify_solution_structure(kappas, K: GreenOperator, Pmu: Field,
 
     worst = 0.0
     lambdas = {}
-    iterates = {}
     for k in kappas:
         res = results[k]
-        iterates[k] = [Pmu.values]
-        while len(iterates[k]) < min(10, res.iterations):
-            iterates[k].append(psi_map(iterates[k][-1], k, K, Pmu, p))
         worst = max(worst, float(np.max(k * Pmu.values - res.solution.values)))
         lambdas[k] = linearized_spectrum(K, res.solution, p).lambda_
 
@@ -406,7 +402,7 @@ def verify_solution_structure(kappas, K: GreenOperator, Pmu: Field,
         a, b = results[lo], results[hi]
         # both runs share the kappa-independent start U_0 = Pmu, so the
         # scaled domination only kicks in once that common seed is forgotten
-        for u_lo, u_hi in zip(iterates[lo][2:], iterates[hi][2:]):
+        for u_lo, u_hi in zip(a.first_iterates[2:], b.first_iterates[2:]):
             worst = max(worst, float(np.max(u_lo - (lo / hi) * u_hi)))
         u, v = a.solution.values, b.solution.values
         # far up a tall grid both underflow to 0.0: the one tie allowed

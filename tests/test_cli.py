@@ -249,7 +249,9 @@ class TestCommands:
         assert (out / "summary.json").read_bytes() == first_summary
 
     def test_branch_reports_corrector_work(self, tmp_path, monkeypatch):
-        # every tangent is one LU and one solve, every corrector step a solve
+        # every factorization is one LU and one solve, every corrector step
+        # a solve: a tangent is one factorization, and so is a step of the
+        # fold's Newton solve, whose other three solves are corrector steps
         calls = {"lu_factor": 0, "lu_solve": 0}
         for name in calls:
             def counted(*args, _fn=getattr(continuation, name), _name=name,
@@ -257,6 +259,15 @@ class TestCommands:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(continuation, name, counted)
+        fold = {}
+        detect_fold = continuation.detect_fold
+
+        def counted_fold(*args):
+            before = dict(calls)
+            result = detect_fold(*args)
+            fold.update({name: calls[name] - before[name] for name in calls})
+            return result
+        monkeypatch.setattr(continuation, "detect_fold", counted_fold)
         path = write_config(tmp_path,
                             continuation={"start_kappa": 0.3, "step": 0.1,
                                           "max_points": 60})
@@ -267,6 +278,10 @@ class TestCommands:
         assert results["corrector_steps"] == (calls["lu_solve"]
                                               - calls["lu_factor"])
         assert results["factorizations"] > results["points"]
+        # the fold's steps are counted too: four solves each, and the last
+        # LU's one solve finds the iterate on the fold
+        assert fold["lu_factor"] > 1
+        assert fold["lu_solve"] == 4 * fold["lu_factor"] - 3
 
     def test_dense_branch_matches_the_one_lu_chord(self, tmp_path,
                                                   monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -170,16 +172,18 @@ class TestTangentMemory:
     def test_refactorizing_corrector_holds_one_new_matrix(self, plane,
                                                           monkeypatch):
         # refactorize at every iterate after the first: each LU is dropped
-        # before the next Jacobian forms, and before the converged point's
-        # tangent
+        # before the next Jacobian forms, and the last one is the converged
+        # point's tangent
         _, K, Pmu, u = plane
         monkeypatch.setattr(KernelMatrix, "refactorize", True)
         stepper = _Stepper(K, Pmu, 3.0)
         tang = stepper.tangent(u, None)         # the caller's LU stays alive
         result, extra = peak_allocation(stepper.correct, u, 0.5, tang, 0.5)
         assert result is not None
-        # two refactorizations, then the converged point's tangent
-        assert stepper.factorizations >= 4
+        # the caller's LU and one refactorization per step after the first,
+        # at least two, the last of them the converged point's tangent
+        assert stepper.factorizations == stepper.corrector_steps >= 3
+        assert result[2][0] is not tang[0]
         assert extra <= 1.1 * K.kernel.nbytes
 
     def test_lu_overwrites_the_fortran_ordered_jacobian(self, plane,
@@ -211,34 +215,90 @@ class TestDetectFold:
 
     def test_failed_correction_returns_the_max_kappa_point(self, branch,
                                                           monkeypatch):
-        calls = []
-
-        def fail(self, *args):
-            calls.append(1)
-            return None
-        monkeypatch.setattr(_Stepper, "correct", fail)
-        kappa_fold, pt = detect_fold(branch)
+        # one Newton step from the max-kappa point does not reach the fold:
+        # hitting the step cap returns that point and its eigenpair
+        monkeypatch.setattr(continuation, "_FOLD_REFINE", 1)
         top = branch.points[int(np.argmax(branch.kappas))]
-        assert len(calls) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kappa_fold, pt = detect_fold(branch)
         assert kappa_fold == top.kappa
-        assert np.array_equal(pt.field.values, top.field.values)
+        assert pt is top
 
     def test_singular_tangent_returns_the_max_kappa_point(self, branch,
                                                           monkeypatch):
+        # a singular Jacobian at the second Newton step gives non-finite
+        # solves, with no warning
         calls = []
-        tangent = _Stepper.tangent
+        jacobian = continuation.jacobian
 
-        def singular_after_first(self, *args):
+        def singular_after_first(*args):
             calls.append(1)
+            J = jacobian(*args)
             if len(calls) > 1:
-                raise FloatingPointError("singular Jacobian")
-            return tangent(self, *args)
-        monkeypatch.setattr(_Stepper, "tangent", singular_after_first)
-        kappa_fold, pt = detect_fold(branch)
+                J = dataclasses.replace(J, lower=0.0 * J.lower,
+                                        diag=0.0 * J.diag,
+                                        upper=0.0 * J.upper)
+            return J
+        monkeypatch.setattr(continuation, "jacobian", singular_after_first)
         top = branch.points[int(np.argmax(branch.kappas))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kappa_fold, pt = detect_fold(branch)
         assert len(calls) == 2
         assert kappa_fold == top.kappa
-        assert np.array_equal(pt.field.values, top.field.values)
+        assert pt is top
+
+    def test_underflowed_state_with_p_below_two(self):
+        # u^{p-2} is infinite where the state underflows to 0.0 high above
+        # the wall; the fold's gradient takes it only where u > 0
+        g = build_grid(1, 800.0, 800.0, 1, 2000)
+        K = assemble_green(g)
+        Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branch = trace_branch(0.2, K, Pmu, 1.5)
+            assert np.any(branch.points[-1].field.values == 0.0)
+            kappa_fold, pt = detect_fold(branch)
+        assert kappa_fold > np.max(branch.kappas)
+        assert abs(pt.lambda_ - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    def test_fold_kappa_converges_at_second_order(self, p):
+        # the continuous fold is kappa*(p) = ((p + 1)/2)^{1/(p-1)}
+        exact = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+        errors = []
+        for n in (2000, 8000):
+            g = build_grid(1, 20.0, 20.0, 1, n)
+            K = assemble_green(g)
+            Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+            kappa_fold, _ = detect_fold(trace_branch(0.2, K, Pmu, p))
+            errors.append(abs(kappa_fold - exact))
+        assert errors[0] <= 3e-6
+        assert errors[1] <= 2.0 * errors[0] * (2000 / 8000) ** 2
+
+    @pytest.mark.parametrize("N, nodes, p, mu, secant_fold", [
+        (2, (10, 12), 3.0, {"type": "point_mass", "mass": 1.0},
+         5.475632554654797),
+        (3, (6, 8), 7.0, {"type": "radial_density", "radii": [0.0, 1.0, 2.0],
+                          "values": [1.0, 1.0, 0.0]}, 1.5531199496162897)])
+    def test_dense_fold_matches_the_secant_refinement(self, monkeypatch, N,
+                                                      nodes, p, mu,
+                                                      secant_fold):
+        # secant_fold: the fold the secant refinement of the tangent's kappa
+        # component found (|dkappa| <= 1e-8, six LUs) on these grids
+        g = build_grid(N, 12.0, 12.0, *nodes)
+        K = assemble_green(g)
+        branch = trace_branch(0.2, K, poisson_trace(g, mu), p)
+        calls, lu_factor = [], continuation.lu_factor
+
+        def counting_lu_factor(*args):
+            calls.append(1)
+            return lu_factor(*args)
+        monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
+        kappa_fold, _ = detect_fold(branch)
+        assert abs(kappa_fold / secant_fold - 1.0) <= 1e-10
+        assert len(calls) <= 5
 
     def test_requires_a_fold(self, K_line, Pmu_line):
         short = trace_branch(0.2, K_line, Pmu_line, 3.0, step=0.05,
@@ -310,6 +370,14 @@ class TestWarmEigenpairs:
         # J = I - K M is singular at the fold, where lambda = 1
         fold = warm_branch[3]
         assert abs(fold.lambda_ - 1.0) <= 1e-9
+
+    def test_fold_point_lambda_is_one_to_round_off(self, warm_branch):
+        # Newton on the extended fold system stops at the fold, not near it,
+        # and J^{-1} b there is the eigenfield to round-off: its refinement
+        # passes at the first step
+        _, _, _, fold, calls, _ = warm_branch
+        assert abs(fold.lambda_ - 1.0) <= 1e-12
+        assert calls[-1] == (True, 1)
 
     @pytest.mark.parametrize("warm_branch", WARM_CASES[:1], ids=_case_id,
                              indirect=True)

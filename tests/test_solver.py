@@ -75,6 +75,16 @@ class TestMonotoneIterate:
         np.testing.assert_array_equal(res.solution.values, u)
         assert res.residual_sup == res.increments[-1]
 
+    @pytest.mark.parametrize("max_iter", [3, 100_000])
+    def test_keeps_the_first_ten_iterates(self, K_line, Pmu_line, max_iter):
+        # U_0 = Pmu, U_{j+1} = Psi(U_j), bit for bit, min(10, iterations)
+        res = monotone_iterate(1.0, K_line, Pmu_line, 3.0, max_iter=max_iter)
+        assert len(res.first_iterates) == min(10, res.iterations)
+        u = Pmu_line.values
+        for kept in res.first_iterates:
+            np.testing.assert_array_equal(kept, u)
+            u = psi_map(u, 1.0, K_line, Pmu_line, 3.0)
+
     def test_small_kappa_contracts(self, grid_line, K_line, Pmu_line):
         # far below the threshold the map is a contraction on a small ball
         rng = np.random.default_rng(7)
