@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import functools
 import json
 import math
@@ -73,7 +72,8 @@ class ConfigError(Exception):
 def _merge(defaults, user, path=""):
     _require(isinstance(user, dict),
              f"section '{path or '<root>'}' must be an object")
-    out = copy.deepcopy(defaults)
+    out = {key: value if key in user else copy.deepcopy(value)
+           for key, value in defaults.items()}  # set keys are replaced below
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key == "mu_spec":
@@ -118,7 +118,7 @@ def _check_mu_spec(spec, where):
                  or _typed_like(value, 1.0 if key == "mass" else [],
                                 f"{where}.{key}"),
                  f"'{where}.{key}' must be a number or a list of numbers")
-    return copy.deepcopy(spec)
+    return spec
 
 
 def load_config(path: str) -> dict:
@@ -356,9 +356,9 @@ def _cmd_branch(cfg) -> int:
     cont = cfg["continuation"]
     # K, the previous point's LU and the new Jacobian while a tangent forms
     # (a corrector drops its own refactorized LU before the next one forms);
-    # the branch points and the fold point keep one field each
+    # the branch points and the fold point keep a field and an eigenfield each
     _, K, Pmu = _build_problem(cfg, copies=3,
-                               fields=cont["max_points"] + 1)
+                               fields=2 * (cont["max_points"] + 1))
     prob, exps = cfg["problem"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
                           step=cont["step"], max_points=cont["max_points"])
@@ -416,7 +416,7 @@ def _cmd_verify(cfg, suite: str) -> int:
         _, K, Pmu = _build_problem(cfg, copies=1)
         reports.append(verify_solution_structure([0.2, 0.4, 0.8],
                                                  K, Pmu, prob["p"]))
-    payload = [dataclasses.asdict(r) for r in reports]
+    payload = [vars(r) for r in reports]
     out_dir = _output_dir(cfg)
     with open(os.path.join(out_dir, "verify.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)

@@ -10,8 +10,9 @@ after the first (bordered Newton), the last of which, one Newton step
 before the corrected point, is that point's tangent.  The O(n) N = 1
 operator sets it; a dense one, whose LU costs more chord steps than a
 point takes, does not, and factorizes each accepted point once more for
-its tangent.  The fold is solved for by Newton's method on the minimally
-extended system (`detect_fold`).
+its tangent.  Each `BranchPoint` owns its `EigenResult` (lambda = 1/rho),
+refined from the previous point's.  The fold is solved for by Newton's
+method on the minimally extended system (`detect_fold`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import Field
-from .operators import (GreenOperator, jacobian, linearized_spectrum,
-                        lu_factor, lu_solve)
+from .operators import (EigenResult, GreenOperator, jacobian,
+                        linearized_spectrum, lu_factor, lu_solve)
 from .solver import (NoMinimalSolutionError, monotone_iterate,
                      newton_refine, psi_map)
 
@@ -40,8 +41,13 @@ _FOLD_REFINE = 10      # Newton steps on the extended fold system
 class BranchPoint:
     kappa: float
     field: Field
-    lambda_: float        # stability margin; > 1 on the minimal branch
+    eigen: EigenResult    # the stability pair at field
     arclength: float
+
+    @property
+    def lambda_(self) -> float:
+        """The stability margin 1/rho; > 1 on the minimal branch."""
+        return self.eigen.lambda_
 
 
 class _Stepper:
@@ -55,9 +61,6 @@ class _Stepper:
         # besides each LU's first (corrector steps, the fold's other three)
         self.factorizations = 0
         self.corrector_steps = 0
-        self.eigen = None           # the last point's EigenResult
-        self.top_kappa = -math.inf  # the max-kappa point's kappa and pair
-        self.top_eigen = None
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         # mean-weighted product keeps the field and kappa components comparable
@@ -147,17 +150,12 @@ class Branch:
         return np.array([pt.kappa for pt in self.points])
 
 
-def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float,
-                s: float) -> BranchPoint:
-    """The branch point at (u, kappa); its eigenpair starts from the last
-    point's."""
+def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float, s: float,
+                start: EigenResult | None) -> BranchPoint:
+    """The branch point at (u, kappa), its eigenpair refined from start."""
     f = Field(stepper.K.grid, u)
-    stepper.eigen = linearized_spectrum(stepper.K, f, stepper.p,
-                                        start=stepper.eigen)
-    if kappa > stepper.top_kappa:
-        stepper.top_kappa, stepper.top_eigen = kappa, stepper.eigen
-    return BranchPoint(kappa=kappa, field=f, lambda_=stepper.eigen.lambda_,
-                       arclength=s)
+    eigen = linearized_spectrum(stepper.K, f, stepper.p, start=start)
+    return BranchPoint(kappa=kappa, field=f, eigen=eigen, arclength=s)
 
 
 def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
@@ -179,7 +177,7 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
     kappa, s = start_kappa, 0.0
     tang = stepper.tangent(u, None)
 
-    points = [_make_point(stepper, u, kappa, s)]
+    points = [_make_point(stepper, u, kappa, s, None)]
     fold_index = None
     ds = min(step, _STEP_MAX)
     successes = 0
@@ -195,7 +193,7 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
         if fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0:
             fold_index = len(points)    # the point appended next
         u, kappa, tang = result
-        points.append(_make_point(stepper, u, kappa, s))
+        points.append(_make_point(stepper, u, kappa, s, points[-1].eigen))
         successes += 1
         if successes >= 3:
             ds = min(ds * _STEP_GROW, _STEP_MAX, step * 4.0)
@@ -234,7 +232,7 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
     top = branch.points[int(np.argmax(branch.kappas))]
     w = K.grid.quad_weights
     u, kappa = top.field.values, top.kappa
-    b = stepper.top_eigen.eigenfield.values
+    b = top.eigen.eigenfield.values
     c = w * p * np.maximum(u, 0.0) ** (p - 1.0) * b
     c /= np.dot(c, b)
     with np.errstate(all="ignore"):
@@ -251,9 +249,8 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
                 # passes at the first step
                 f = Field(K.grid, u)
                 eigen = linearized_spectrum(K, f, p, start=replace(
-                    stepper.top_eigen, eigenfield=Field(K.grid, Jb)))
-                return kappa, BranchPoint(kappa=kappa, field=f,
-                                          lambda_=eigen.lambda_,
+                    top.eigen, eigenfield=Field(K.grid, Jb)))
+                return kappa, BranchPoint(kappa=kappa, field=f, eigen=eigen,
                                           arclength=top.arclength)
             y = lu_solve(lu, c, 1)
             y /= np.dot(b, y)

@@ -583,10 +583,14 @@ class EigenResult:
     """Dominant eigenvalue data of the linearized operator at a state u."""
 
     rho: float          # dominant eigenvalue of h -> G[p u^{p-1} h]
-    lambda_: float      # 1 / rho, the stability margin of u
     eigenfield: Field
     iterations: int
     residual: float
+
+    @property
+    def lambda_(self) -> float:
+        """1 / rho, the stability margin of u."""
+        return 1.0 / self.rho
 
 
 def linearized_spectrum(K: GreenOperator, u: Field, p: float,
@@ -653,8 +657,7 @@ def _rayleigh_quotient_iteration(K: HalfLineGreen, weights: np.ndarray,
             if residual <= tol:
                 if np.any(psi < 0.0) or np.any(psi[weights > 0.0] <= 0.0):
                     return None, step       # not the Perron vector
-                return EigenResult(rho=rho, lambda_=1.0 / rho,
-                                   eigenfield=Field(K.grid, psi),
+                return EigenResult(rho=rho, eigenfield=Field(K.grid, psi),
                                    iterations=step, residual=residual), step
             shift = max(rho, start.rho) if step == 1 else rho
             # (I - K M / shift)^{-1} psi, with the Jacobian at weights / shift
@@ -683,8 +686,7 @@ def _power_iteration(K: GreenOperator, weights: np.ndarray, tol: float,
         residual = float(np.max(np.abs(v - rho * psi)))
         if residual <= tol * np.max(np.abs(psi)):
             psi = v / rho
-            return EigenResult(rho=rho, lambda_=1.0 / rho,
-                               eigenfield=Field(K.grid, psi),
+            return EigenResult(rho=rho, eigenfield=Field(K.grid, psi),
                                iterations=steps + it, residual=residual)
         psi = v / rho
     raise IterationLimitError(

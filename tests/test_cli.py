@@ -567,8 +567,10 @@ class TestExitCodes:
             self, tmp_path, monkeypatch, capsys):
         n = 300
         vectors = operators.HALF_LINE_VECTORS
+        # a branch point keeps its field and its eigenfield, as does the
+        # fold point: 2 (max_points + 1) fields
         monkeypatch.setattr(operators, "MAX_MATRIX_BYTES",
-                            (vectors + 10) * 8 * n)
+                            (vectors + 20) * 8 * n)
         path = write_config(tmp_path, grid=dict(FAST_GRID, nodes_height=n),
                             continuation={"max_points": 9})
         assert run_command(["solve", "--config", path]) == 0

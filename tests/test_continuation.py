@@ -364,20 +364,55 @@ class TestWarmEigenpairs:
             ref = linearized_spectrum(K, pt.field, p, tol=1e-13).lambda_
             assert abs(pt.lambda_ / ref - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("warm_branch", WARM_CASES[:3], ids=_case_id,
-                             indirect=True)
-    def test_fold_point_lambda_is_one(self, warm_branch):
-        # J = I - K M is singular at the fold, where lambda = 1
-        fold = warm_branch[3]
-        assert abs(fold.lambda_ - 1.0) <= 1e-9
-
     def test_fold_point_lambda_is_one_to_round_off(self, warm_branch):
-        # Newton on the extended fold system stops at the fold, not near it,
-        # and J^{-1} b there is the eigenfield to round-off: its refinement
+        # J = I - K M is singular at the fold, where lambda = 1.  Newton on
+        # the extended fold system stops at the fold, not near it, and
+        # J^{-1} b there is the eigenfield to round-off: its refinement
         # passes at the first step
         _, _, _, fold, calls, _ = warm_branch
         assert abs(fold.lambda_ - 1.0) <= 1e-12
         assert calls[-1] == (True, 1)
+
+    @pytest.mark.parametrize("warm_branch", WARM_CASES[1:2], ids=_case_id,
+                             indirect=True)
+    def test_each_point_owns_its_eigenpair(self, warm_branch):
+        # lambda is the point's own 1/rho, and the pair has the bits of a
+        # refinement from the previous point's (the first point's is cold)
+        K, p, branch, fold, _, _ = warm_branch
+        start = None
+        for pt in branch.points:
+            assert pt.lambda_ == 1.0 / pt.eigen.rho
+            ref = linearized_spectrum(K, pt.field, p, start=start)
+            assert (pt.eigen.rho, pt.eigen.iterations, pt.eigen.residual) == \
+                (ref.rho, ref.iterations, ref.residual)
+            assert pt.eigen.eigenfield.values.tobytes() == \
+                ref.eigenfield.values.tobytes()
+            start = pt.eigen
+        assert fold.lambda_ == 1.0 / fold.eigen.rho
+
+    @pytest.mark.parametrize("warm_branch", WARM_CASES[1:2], ids=_case_id,
+                             indirect=True)
+    def test_fold_border_is_the_max_kappa_points_eigenfield(self, warm_branch,
+                                                            monkeypatch):
+        # the max-kappa point's eigenfield, moved to a new array, is the
+        # border b (the first vector solved for), and the fold keeps its bits
+        _, _, branch, fold, _, _ = warm_branch
+        i = int(np.argmax(branch.kappas))
+        top = branch.points[i]
+        psi = Field(top.field.grid, top.eigen.eigenfield.values.copy())
+        points = list(branch.points)
+        points[i] = dataclasses.replace(
+            top, eigen=dataclasses.replace(top.eigen, eigenfield=psi))
+        solved, lu_solve = [], continuation.lu_solve
+
+        def recording_lu_solve(lu, b, trans=0):
+            solved.append(b)
+            return lu_solve(lu, b, trans)
+        monkeypatch.setattr(continuation, "lu_solve", recording_lu_solve)
+        kappa, pt = detect_fold(dataclasses.replace(branch, points=points))
+        assert solved[0] is psi.values
+        assert kappa == fold.kappa
+        assert pt.field.values.tobytes() == fold.field.values.tobytes()
 
     @pytest.mark.parametrize("warm_branch", WARM_CASES[:1], ids=_case_id,
                              indirect=True)

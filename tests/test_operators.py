@@ -409,8 +409,8 @@ def warm_state():
 
 
 def _pair(g, rho, psi):
-    return EigenResult(rho=rho, lambda_=1.0 / rho, eigenfield=Field(g, psi),
-                       iterations=0, residual=0.0)
+    return EigenResult(rho=rho, eigenfield=Field(g, psi), iterations=0,
+                       residual=0.0)
 
 
 def _count_power_iterations(monkeypatch):
@@ -480,7 +480,7 @@ class TestWarmStart:
         assert np.array_equal(res.eigenfield.values, ref.eigenfield.values)
 
 
-class TestJacobianAndSingularValues:
+class TestJacobian:
     def test_jacobian_structure(self):
         # N = 1 is the dense reference; every case has non-constant weights
         rng = np.random.default_rng(3)
@@ -585,7 +585,7 @@ class TestHalfLineBackend:
         assert abs(res.lambda_ - ref.lambda_) <= 1e-10
         assert res.iterations == ref.iterations
 
-    def test_smallest_singular_value_at_the_fold(self, half_line):
+    def test_lambda_margin_at_the_fold_matches_dense(self, half_line):
         # J = I - K M is nearly singular at the fold state, where the
         # linearization's eigenvalue lambda is 1: the O(n) operator gives
         # the dense one's small margin lambda - 1
