@@ -38,7 +38,8 @@ from .kernels import _scipy_attr, fundamental_E, poisson_P
 MAX_MATRIX_BYTES = 4 * 2 ** 30
 # length-n float64 vectors a half-line command holds at once besides the
 # fields it keeps: grid, operator and Jacobian factors, iterates, output
-# columns (tracemalloc reads 31-42 per command at 2·10^4 nodes)
+# columns, linearized_spectrum's _KRYLOV_BASIS Lanczos vectors and their
+# products (tracemalloc reads 31-61 per command at 2·10^4 nodes)
 HALF_LINE_VECTORS = 64
 
 # kernel evaluations per assembly block; bounds every assembly temporary
@@ -55,9 +56,10 @@ _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
 _TRACE_ORDER = 12  # points per Gauss-Legendre panel of the radial trace
 _PAIR = (np.array([0.0, np.pi]), np.array([0.5, 0.5]))
+# Green products one linearized_spectrum call may take
 _SPECTRUM_ITERS = 20_000
-# Rayleigh-quotient steps a warm start may take (2-4 along a branch)
-_WARM_STEPS = 8
+# Lanczos vectors held before a restart, each with its Green product
+_KRYLOV_BASIS = 8
 
 
 class IterationLimitError(RuntimeError):
@@ -580,7 +582,12 @@ def poisson_trace(grid: Grid, mu_spec: dict) -> Field:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Dominant eigenvalue data of the linearized operator at a state u."""
+    """Dominant eigenvalue data of the linearized operator at a state u.
+
+    `iterations` counts Green products (K.matvec calls).  `residual` is
+    |B y - rho y|_2 for the unit Ritz vector y in the symmetric form B of
+    `linearized_spectrum`; a result passes once it is at most tol * rho.
+    """
 
     rho: float          # dominant eigenvalue of h -> G[p u^{p-1} h]
     eigenfield: Field
@@ -597,101 +604,64 @@ def linearized_spectrum(K: GreenOperator, u: Field, p: float,
                         tol: float = 1e-8,
                         start: EigenResult | None = None) -> EigenResult:
     """Dominant eigenpair (rho, psi) of h -> G[p u^{p-1} h], that is of
-    K M with M = diag(p u^{p-1}).  psi is scaled to max entry 1, and it
-    passes once max|K M psi - rho psi| <= tol max|psi|.
+    K M with M = diag(p u^{p-1}), psi scaled to max entry 1.
 
-    Without `start`, or on an operator whose `refactorize` is not set (a
-    dense one), this is a power iteration from psi = 1, one K.matvec per
-    step.
-
-    `start`, the pair at a nearby state (the previous branch point), is
-    refined by Rayleigh-quotient iteration when `refactorize` is set.  A
-    step needs the product K M psi, for the residual of psi and for rho,
-    the Rayleigh quotient in the product x . (m y) (m = w p u^{p-1}, in the
-    notation of `HalfLineGreen`), in which K M = (S + diag c) diag(m) is
-    symmetric.  Unless psi passes, the step then solves
-    (I - sigma K M) x = psi at the shift sigma = 1/rho, and x scaled to max
-    entry 1 is the next psi.  Only the first step calls K.matvec: the solve
-    gives the next product, K M x = (x - psi) / sigma.  For N = 1 that
-    solve is the tridiagonal pencil T psi = (1/rho) (I + T C) M psi: its
-    matrix at sigma, T diag(1 - sigma c m) - sigma m, is the A of
-    K.jacobian(sigma * weights), and x solves A x = T psi, so a step is one
-    gttrf, one gttrs and one t_times, all O(n).  rho is exact to round-off
-    once psi passes.  The first shift is the larger of rho and start.rho:
-    rho never exceeds the Perron root, and seen from above the Perron root
-    is the nearest eigenvalue, so a start from far along the branch still
-    finds it.  The refined pair is kept only if psi has no
-    negative entry and is positive wherever the weight is, since the Perron
-    vector is K M's only nonnegative eigenvector.  A psi that fails that
-    test, a singular shift (its non-finite solve warns nowhere) and
-    _WARM_STEPS steps without a pass fall back to the power iteration;
-    `iterations` counts the steps of both.
+    K = S W with S symmetric, so K M is similar to the symmetric
+    B = D S D, D = (W M)^{1/2}: B y = rho y gives K M psi = rho psi with
+    psi = S D y / rho.  B's top eigenpair is found by Lanczos iteration
+    with full reorthogonalization (Golub & Van Loan, *Matrix
+    Computations*, ch. 10), one K.matvec per product, B y = D K(W^{-1} D y).
+    It starts from D |start.eigenfield| (the pair at a nearby state), or
+    from D 1 without a usable start, and passes once the top Ritz residual
+    |B y - rho y|_2 is at most tol * rho, so rho is exact to round-off.
+    psi is the same combination of the kept products S D q_j as y is of
+    the Lanczos vectors q_j, so it takes no further product.  A full basis
+    of _KRYLOV_BASIS vectors restarts from its top Ritz vector.
     """
-    weights = p * np.maximum(u.values, 0.0) ** (p - 1.0)
-    if not np.any(weights > 0.0):
+    w = K.grid.quad_weights
+    d = p * np.maximum(u.values, 0.0) ** (p - 1.0)     # M, then D in place
+    if not np.any(d > 0.0):
         raise DegenerateLinearizationError(
             "linearization weight p u^(p-1) vanishes identically")
-    steps = 0
-    if start is not None and K.refactorize:
-        refined, steps = _rayleigh_quotient_iteration(K, weights, start, tol)
-        if refined is not None:
-            return refined
-    return _power_iteration(K, weights, tol, steps)
-
-
-def _rayleigh_quotient_iteration(K: HalfLineGreen, weights: np.ndarray,
-                                 start: EigenResult, tol: float):
-    """(the refined Perron pair, or None to fall back, and the steps
-    taken); see `linearized_spectrum`."""
-    m = K.grid.quad_weights * weights
-    with np.errstate(all="ignore"):
-        psi = start.eigenfield.values
-        psi = psi / psi[np.argmax(np.abs(psi))]
-        v = K.matvec(weights * psi)
-        for step in range(1, _WARM_STEPS + 1):
-            mpsi = m * psi
-            rho = float(np.dot(mpsi, v) / np.dot(mpsi, psi))
-            residual = float(np.max(np.abs(v - rho * psi)))
-            if not np.isfinite(residual):
-                return None, step
-            if residual <= tol:
-                if np.any(psi < 0.0) or np.any(psi[weights > 0.0] <= 0.0):
-                    return None, step       # not the Perron vector
+    np.sqrt(np.multiply(d, w, out=d), out=d)
+    scale = d / w
+    basis = np.empty((_KRYLOV_BASIS, d.size))       # Lanczos vectors q_j
+    products = np.empty((_KRYLOV_BASIS, d.size))    # S D q_j
+    T = np.zeros((_KRYLOV_BASIS, _KRYLOV_BASIS))   # tridiagonal Q^T B Q
+    basis[0] = d
+    if start is not None:
+        np.multiply(d, np.abs(start.eigenfield.values), out=basis[0])
+        if not 0.0 < np.linalg.norm(basis[0]) < np.inf:
+            basis[0] = d
+    iterations = 0
+    while True:
+        basis[0] /= np.linalg.norm(basis[0])
+        for j in range(_KRYLOV_BASIS):
+            products[j] = K.matvec(scale * basis[j])
+            iterations += 1
+            r = d * products[j]
+            T[j, j] = np.dot(basis[j], r)
+            # classical Gram-Schmidt twice against the whole basis
+            for _ in range(2):
+                r -= (basis[:j + 1] @ r) @ basis[:j + 1]
+            beta = np.linalg.norm(r)
+            theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
+            rho, s = float(theta[-1]), s[:, -1]
+            residual = float(beta * abs(s[-1]))
+            if residual <= tol * rho:
+                psi = s @ products[:j + 1]
+                psi /= psi[np.argmax(np.abs(psi))]
                 return EigenResult(rho=rho, eigenfield=Field(K.grid, psi),
-                                   iterations=step, residual=residual), step
-            shift = max(rho, start.rho) if step == 1 else rho
-            # (I - K M / shift)^{-1} psi, with the Jacobian at weights / shift
-            A = K.jacobian(weights / shift)
-            x = _TridiagonalLU(K, _tridiagonal_factors(A.lower, A.diag,
-                                                       A.upper)).solve(psi, 0)
-            scale = x[np.argmax(np.abs(x))]
-            # K M x = shift (x - psi): the next product, without a matvec
-            v = shift * (x - psi) / scale
-            psi = x / scale
-    return None, _WARM_STEPS
-
-
-def _power_iteration(K: GreenOperator, weights: np.ndarray, tol: float,
-                     steps: int) -> EigenResult:
-    """Power iteration from psi = 1; `steps` were taken before it."""
-    psi = np.ones(K.grid.n_nodes)
-    rho = 0.0
-    residual = np.inf
-    for it in range(1, _SPECTRUM_ITERS + 1):
-        v = K.matvec(weights * psi)
-        rho = float(v[np.argmax(np.abs(v))])
-        if rho == 0.0:
-            raise DegenerateLinearizationError(
-                "linearized operator annihilated the iterate")
-        residual = float(np.max(np.abs(v - rho * psi)))
-        if residual <= tol * np.max(np.abs(psi)):
-            psi = v / rho
-            return EigenResult(rho=rho, eigenfield=Field(K.grid, psi),
-                               iterations=steps + it, residual=residual)
-        psi = v / rho
-    raise IterationLimitError(
-        f"power iteration did not reach tol={tol:g} in {_SPECTRUM_ITERS} steps "
-        f"(residual {residual:.3e})", residual=residual)
+                                   iterations=iterations, residual=residual)
+            if iterations >= _SPECTRUM_ITERS:
+                raise IterationLimitError(
+                    f"Lanczos iteration did not reach tol={tol:g} in "
+                    f"{_SPECTRUM_ITERS} products (residual {residual:.3e})",
+                    residual=residual)
+            if j + 1 < _KRYLOV_BASIS:
+                T[j + 1, j] = T[j, j + 1] = beta
+                np.divide(r, beta, out=basis[j + 1])
+        basis[0] = s @ basis                        # restart from the Ritz vector
 
 
 def jacobian(K: GreenOperator, u: Field, p: float):

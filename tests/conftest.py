@@ -38,6 +38,20 @@ def soliton(heights, kappa, p=3.0):
     return np.sqrt(2.0) / np.cosh(heights + a)
 
 
+def dense_rho(dense, u, p):
+    """Independent oracle for `linearized_spectrum`'s rho: the largest
+    eigenvalue of D S D, D = (W p u^{p-1})^{1/2}, by LAPACK's dense
+    symmetric eigensolver (numpy.linalg.eigvalsh), from the bare kernel S of
+    a dense `KernelMatrix`.  Rows and columns where D vanishes hold only
+    zeros, so they are left out."""
+    d = np.sqrt(dense.grid.quad_weights * p
+                * np.maximum(u.values, 0.0) ** (p - 1.0))
+    keep = d > 0.0
+    d = d[keep]
+    B = d[:, None] * dense.kernel[np.ix_(keep, keep)] * d
+    return float(np.linalg.eigvalsh(B)[-1])
+
+
 def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
     counted by tracemalloc, which sees every NumPy buffer.

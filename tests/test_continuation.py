@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
-from scalarfield import continuation, operators
+from scalarfield import continuation
 from scalarfield.cli import OUTPUT_DIR_ENV, run_command
 from scalarfield.continuation import (_Stepper, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
-from scalarfield.operators import (KernelMatrix, assemble_green,
-                                   linearized_spectrum, poisson_trace)
+from scalarfield.operators import (KernelMatrix, _assemble_dense,
+                                   assemble_green, linearized_spectrum,
+                                   poisson_trace)
 from scalarfield.solver import monotone_iterate, psi_map
 
-from conftest import peak_allocation, soliton
+from conftest import dense_rho, peak_allocation, soliton
 
 
 @pytest.fixture(scope="module")
@@ -320,56 +321,57 @@ def _case_id(case):
 def warm_branch(request):
     """(K, p, a half-line branch from kappa = 0.2 through the fold, its fold
     point, every eigenpair computed for them in call order as (started
-    warm, iterations), the number of power iterations run); at H = 800 the
-    state underflows to 0.0 high above the wall."""
+    warm, iterations)); at H = 800 the state underflows to 0.0 high above
+    the wall."""
     n, H, p = request.param
     g = build_grid(1, H, H, 1, n)
     K = assemble_green(g)
     Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
-    calls, cold = [], []
+    calls = []
     spectrum = continuation.linearized_spectrum
-    power = operators._power_iteration
 
     def recording_spectrum(*args, start=None):
         result = spectrum(*args, start=start)
         calls.append((start is not None, result.iterations))
         return result
-
-    def counting_power(*args):
-        cold.append(1)
-        return power(*args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "linearized_spectrum", recording_spectrum)
-        mp.setattr(operators, "_power_iteration", counting_power)
         branch = trace_branch(0.2, K, Pmu, p)
         _, fold = detect_fold(branch)
-    return K, p, branch, fold, calls, len(cold)
+    return K, p, branch, fold, calls
 
 
 class TestWarmEigenpairs:
-    """Each branch point's eigenpair is refined from the last one's."""
+    """Each branch point's eigenpair is started from the last one's."""
 
     def test_only_the_first_point_starts_cold(self, warm_branch):
-        _, _, branch, _, calls, cold = warm_branch
+        _, _, branch, _, calls = warm_branch
         assert [warm for warm, _ in calls] == \
             [False] + [True] * len(branch.points)
-        # no warm call fell back to the power iteration
-        assert cold == 1
 
     def test_lambda_matches_the_cold_oracle(self, warm_branch):
-        K, p, branch, fold, _, _ = warm_branch
+        # the first point's pair is the cold one; rho is checked against
+        # the dense eigvalsh oracle at every point of the 300-node branch,
+        # and at the first, max-kappa and last points of the others (0.5 s
+        # a point at 2000 nodes), and at the fold point
+        K, p, branch, fold, _ = warm_branch
         first = branch.points[0]
         assert first.lambda_ == linearized_spectrum(K, first.field, p).lambda_
-        for pt in branch.points[1:] + [fold]:
-            ref = linearized_spectrum(K, pt.field, p, tol=1e-13).lambda_
-            assert abs(pt.lambda_ / ref - 1.0) <= 1e-10
+        points = branch.points
+        if K.grid.n_nodes > 300:
+            top = int(np.argmax(branch.kappas))
+            points = [points[i] for i in (0, top, -1)]
+        dense = _assemble_dense(K.grid)
+        for pt in points + [fold]:
+            assert abs(pt.eigen.rho / dense_rho(dense, pt.field, p)
+                       - 1.0) <= 1e-12
 
     def test_fold_point_lambda_is_one_to_round_off(self, warm_branch):
         # J = I - K M is singular at the fold, where lambda = 1.  Newton on
         # the extended fold system stops at the fold, not near it, and
-        # J^{-1} b there is the eigenfield to round-off: its refinement
-        # passes at the first step
-        _, _, _, fold, calls, _ = warm_branch
+        # J^{-1} b there is the eigenfield to round-off: a start from it
+        # passes at the first product
+        _, _, _, fold, calls = warm_branch
         assert abs(fold.lambda_ - 1.0) <= 1e-12
         assert calls[-1] == (True, 1)
 
@@ -377,8 +379,8 @@ class TestWarmEigenpairs:
                              indirect=True)
     def test_each_point_owns_its_eigenpair(self, warm_branch):
         # lambda is the point's own 1/rho, and the pair has the bits of a
-        # refinement from the previous point's (the first point's is cold)
-        K, p, branch, fold, _, _ = warm_branch
+        # call started from the previous point's (the first point's is cold)
+        K, p, branch, fold, _ = warm_branch
         start = None
         for pt in branch.points:
             assert pt.lambda_ == 1.0 / pt.eigen.rho
@@ -396,7 +398,7 @@ class TestWarmEigenpairs:
                                                             monkeypatch):
         # the max-kappa point's eigenfield, moved to a new array, is the
         # border b (the first vector solved for), and the fold keeps its bits
-        _, _, branch, fold, _, _ = warm_branch
+        _, _, branch, fold, _ = warm_branch
         i = int(np.argmax(branch.kappas))
         top = branch.points[i]
         psi = Field(top.field.grid, top.eigen.eigenfield.values.copy())
@@ -417,10 +419,25 @@ class TestWarmEigenpairs:
     @pytest.mark.parametrize("warm_branch", WARM_CASES[:1], ids=_case_id,
                              indirect=True)
     def test_warm_points_take_few_steps(self, warm_branch):
-        # a silent fallback costs more than the cold power iteration did
-        _, _, branch, _, calls, cold = warm_branch
-        assert cold == 1
-        assert max(steps for _, steps in calls[1:len(branch.points)]) <= 4
+        # a start from the previous point saves products: each warm point
+        # takes fewer than the first point's cold start
+        _, _, branch, _, calls = warm_branch
+        assert max(steps for _, steps in calls[1:len(branch.points)]) < \
+            calls[0][1]
+
+
+@pytest.mark.parametrize("N, nodes", [(2, (10, 12)), (3, (8, 12))])
+def test_dense_branch_lambda_matches_the_dense_oracle(N, nodes):
+    # dense branches start each eigenpair from the last one's too
+    g = build_grid(N, 12.0, 12.0, *nodes)
+    K = assemble_green(g)
+    branch = trace_branch(0.2, K, poisson_trace(
+        g, {"type": "point_mass", "mass": 1.0}), 3.0)
+    _, fold = detect_fold(branch)
+    iterations = [pt.eigen.iterations for pt in branch.points]
+    assert max(iterations[1:]) < iterations[0]
+    for pt in branch.points + [fold]:
+        assert abs(pt.eigen.rho / dense_rho(K, pt.field, 3.0) - 1.0) <= 1e-12
 
 
 class TestSolutionsAtKappa:

@@ -18,7 +18,7 @@ from scalarfield.operators import (EigenResult, HalfLineGreen,
                                    poisson_trace)
 from scalarfield.solver import monotone_iterate
 
-from conftest import peak_allocation, soliton
+from conftest import dense_rho, peak_allocation, soliton
 
 # a density with kinks at the knots 1 and 2, vanishing at r_max = 3
 KINKED = {"type": "radial_density", "radii": [0.0, 1.0, 2.0, 3.0],
@@ -413,48 +413,29 @@ def _pair(g, rho, psi):
                        residual=0.0)
 
 
-def _count_power_iterations(monkeypatch):
-    """A list that gains an entry at each power iteration run."""
-    calls = []
-    power = operators._power_iteration
-
-    def counting(*args):
-        calls.append(1)
-        return power(*args)
-    monkeypatch.setattr(operators, "_power_iteration", counting)
-    return calls
-
-
 class TestWarmStart:
-    """`linearized_spectrum` refined from a start pair (N = 1)."""
+    """`linearized_spectrum` started from the pair at a nearby state."""
 
-    def test_nearby_start_refines_to_round_off(self, warm_state,
-                                               monkeypatch):
-        g, K, _, u, _, _ = warm_state
-        cold = _count_power_iterations(monkeypatch)
+    def test_nearby_start_refines_to_round_off(self, warm_state):
+        g, K, dense, u, _, vectors = warm_state
         start = linearized_spectrum(K, Field(g, soliton(g.heights, 0.95)),
                                     3.0)
         res = linearized_spectrum(K, u, 3.0, start=start)
-        ref = linearized_spectrum(K, u, 3.0, tol=1e-13)
-        assert len(cold) == 2       # the start and the oracle
-        assert res.iterations <= 4
-        assert abs(res.lambda_ / ref.lambda_ - 1.0) <= 1e-10
+        assert res.iterations < linearized_spectrum(K, u, 3.0).iterations
+        assert abs(res.rho / dense_rho(dense, u, 3.0) - 1.0) <= 1e-12
         psi = res.eigenfield.values
         assert np.max(psi) == 1.0 and np.all(psi > 0.0)
-        assert res.residual <= 1e-8
-        np.testing.assert_allclose(psi, ref.eigenfield.values, atol=1e-8)
+        assert res.residual <= 1e-8 * res.rho
+        perron = vectors[:, 0] / np.max(np.abs(vectors[:, 0]))
+        np.testing.assert_allclose(psi, np.abs(perron), atol=1e-8)
 
-    @pytest.mark.parametrize("case", ["sign-change", "singular-shift",
-                                      "zero"])
+    @pytest.mark.parametrize("case", ["sign-change", "zero"])
     def test_bad_start_returns_the_cold_pair_without_warnings(
-            self, warm_state, monkeypatch, case):
-        # the second eigenpair has a sign change, so it is refused; the
-        # Perron root makes the first shifted pencil singular to round-off;
-        # a zero eigenfield makes every step non-finite
-        g, K, _, u, rho, vectors = warm_state
-        cold = _count_power_iterations(monkeypatch)
+            self, warm_state, case):
+        # the second eigenpair has a sign change, and a zero eigenfield
+        # gives nothing to start from
+        g, K, dense, u, rho, vectors = warm_state
         start = {"sign-change": _pair(g, rho[1], vectors[:, 1]),
-                 "singular-shift": _pair(g, rho[0], np.ones(g.n_nodes)),
                  "zero": _pair(g, rho[0], np.zeros(g.n_nodes))}[case]
         assert np.min(vectors[:, 1]) < 0.0 < np.max(vectors[:, 1])
         with warnings.catch_warnings(record=True) as caught:
@@ -462,22 +443,25 @@ class TestWarmStart:
             res = linearized_spectrum(K, u, 3.0, tol=1e-12, start=start)
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
-        assert len(cold) == (0 if case == "singular-shift" else 1)
-        ref = linearized_spectrum(K, u, 3.0, tol=1e-12)
-        assert abs(res.lambda_ / ref.lambda_ - 1.0) <= 1e-10
+        assert abs(res.rho / dense_rho(dense, u, 3.0) - 1.0) <= 1e-12
         assert np.all(res.eigenfield.values >= 0.0)
         if case == "zero":
-            # the first non-finite step ends the refinement, and counts
-            assert res.iterations == ref.iterations + 1
+            # the cold start, bit for bit
+            cold = linearized_spectrum(K, u, 3.0, tol=1e-12)
+            assert (res.rho, res.iterations) == (cold.rho, cold.iterations)
+            assert np.array_equal(res.eigenfield.values,
+                                  cold.eigenfield.values)
 
-    def test_dense_operator_ignores_the_start(self, warm_state):
-        g, _, dense, u, rho, vectors = warm_state
-        res = linearized_spectrum(dense, u, 3.0,
-                                  start=_pair(g, rho[0], vectors[:, 0]))
-        ref = linearized_spectrum(dense, u, 3.0)
-        assert res.iterations == ref.iterations
-        assert res.lambda_ == ref.lambda_
-        assert np.array_equal(res.eigenfield.values, ref.eigenfield.values)
+    def test_dense_operator_takes_the_start(self, warm_state):
+        # one iteration for every backend: a start saves the dense operator
+        # products too, as many as it saves the O(n) one
+        g, K, dense, u, rho, vectors = warm_state
+        start = _pair(g, rho[0], vectors[:, 0])
+        res, ref = (linearized_spectrum(op, u, 3.0, start=start)
+                    for op in (dense, K))
+        cold = linearized_spectrum(dense, u, 3.0)
+        assert res.iterations == ref.iterations < cold.iterations
+        assert abs(res.rho / dense_rho(dense, u, 3.0) - 1.0) <= 1e-12
 
 
 class TestJacobian:

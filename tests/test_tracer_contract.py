@@ -2,9 +2,10 @@
 
 The benchmark's traced pass looks the layer functions up by name, so a
 refactor that renames or stops calling one of them breaks that pass; this
-test reports it here first.  It runs `solve`, a `branch` through the fold and
-`kappa-star` on a 300-node half-line grid under the tracer, in a fresh
-process, and checks the same invariants as the benchmark's self-checks.
+test reports it here first.  It runs `solve`, a `branch` through the fold,
+`kappa-star` and `eigen` on a 300-node half-line grid under the tracer, in a
+fresh process, and checks the same invariants as the benchmark's
+self-checks.
 """
 
 import json
@@ -26,7 +27,7 @@ from scalarfield.cli import run_command
 tracer = Tracer()
 tracer.install()
 out = {"codes": {}, "spans": {}, "results": {}}
-for command in ("solve", "branch", "kappa-star"):
+for command in ("solve", "branch", "kappa-star", "eigen"):
     out["codes"][command] = run_command([command, "--config", sys.argv[2]])
     out["spans"][command] = tracer.snapshot()
     with open(os.path.join(os.environ["SCALARFIELD_OUTPUT_DIR"],
@@ -53,7 +54,8 @@ def test_traced_run_keeps_the_tracer_contract(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
 
-    assert out["codes"] == {"solve": 0, "branch": 0, "kappa-star": 0}
+    assert out["codes"] == {"solve": 0, "branch": 0, "kappa-star": 0,
+                            "eigen": 0}
     assert out["unwrapped"] == []
     results = out["results"]
     # each snapshot holds the commands run so far
@@ -72,3 +74,9 @@ def test_traced_run_keeps_the_tracer_contract(tmp_path):
     kappa_star = Spans(out["spans"]["kappa-star"])
     assert (kappa_star.work("solver.estimate_kappa_star")
             == results["kappa-star"]["kappa_star"]["evaluations"] > 0)
+    # the traced spectrum work is the products eigen reports, in one call
+    spectrum = "operators.linearized_spectrum"
+    eigen = Spans(out["spans"]["eigen"])
+    assert eigen.count(spectrum) - kappa_star.count(spectrum) == 1
+    assert (eigen.work(spectrum) - kappa_star.work(spectrum)
+            == results["eigen"]["iterations"] > 0)
