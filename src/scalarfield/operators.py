@@ -628,11 +628,9 @@ def linearized_spectrum(K: GreenOperator, u: Field, p: float,
     basis = np.empty((_KRYLOV_BASIS, d.size))       # Lanczos vectors q_j
     products = np.empty((_KRYLOV_BASIS, d.size))    # S D q_j
     T = np.zeros((_KRYLOV_BASIS, _KRYLOV_BASIS))   # tridiagonal Q^T B Q
-    basis[0] = d
-    if start is not None:
-        np.multiply(d, np.abs(start.eigenfield.values), out=basis[0])
-        if not 0.0 < np.linalg.norm(basis[0]) < np.inf:
-            basis[0] = d
+    basis[0] = d if start is None else d * np.abs(start.eigenfield.values)
+    if not 0.0 < np.linalg.norm(basis[0]) < np.inf:
+        basis[0] = d
     iterations = 0
     while True:
         basis[0] /= np.linalg.norm(basis[0])
