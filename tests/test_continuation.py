@@ -350,21 +350,24 @@ class TestWarmEigenpairs:
             [False] + [True] * len(branch.points)
 
     def test_lambda_matches_the_cold_oracle(self, warm_branch):
-        # the first point's pair is the cold one; rho is checked against
-        # the dense eigvalsh oracle at every point of the 300-node branch,
-        # and at the first, max-kappa and last points of the others (0.5 s
-        # a point at 2000 nodes), and at the fold point
+        # the first point's pair is the cold one.  rho is checked at every
+        # point and the fold: against the dense eigvalsh oracle on the
+        # 300-node branch, and at the first, max-kappa and last points and
+        # the fold of the 2000-node ones (0.45 s a point); at their other
+        # points, against a cold call with tol=1e-13 (O(n) a product)
         K, p, branch, fold, _ = warm_branch
         first = branch.points[0]
         assert first.lambda_ == linearized_spectrum(K, first.field, p).lambda_
-        points = branch.points
+        points = branch.points + [fold]
+        oracle = range(len(points))
         if K.grid.n_nodes > 300:
-            top = int(np.argmax(branch.kappas))
-            points = [points[i] for i in (0, top, -1)]
+            oracle = (0, int(np.argmax(branch.kappas)), len(points) - 2,
+                      len(points) - 1)
         dense = _assemble_dense(K.grid)
-        for pt in points + [fold]:
-            assert abs(pt.eigen.rho / dense_rho(dense, pt.field, p)
-                       - 1.0) <= 1e-12
+        for i, pt in enumerate(points):
+            ref = dense_rho(dense, pt.field, p) if i in oracle else \
+                linearized_spectrum(K, pt.field, p, tol=1e-13).rho
+            assert abs(pt.eigen.rho / ref - 1.0) <= 1e-12
 
     def test_fold_point_lambda_is_one_to_round_off(self, warm_branch):
         # J = I - K M is singular at the fold, where lambda = 1.  Newton on

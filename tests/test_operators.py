@@ -452,6 +452,21 @@ class TestWarmStart:
             assert np.array_equal(res.eigenfield.values,
                                   cold.eigenfield.values)
 
+    def test_a_full_basis_restarts_from_its_ritz_vector(self, warm_state,
+                                                        monkeypatch):
+        # three Lanczos vectors are too few for tol=1e-12, so the call
+        # restarts from its top Ritz vector several times (with the full
+        # basis it takes 10 products) and still returns the dense top pair
+        g, K, dense, u, _, vectors = warm_state
+        monkeypatch.setattr(operators, "_KRYLOV_BASIS", 3)
+        res = linearized_spectrum(K, u, 3.0, tol=1e-12)
+        assert 3 * 3 < res.iterations <= 30
+        assert res.residual <= 1e-12 * res.rho
+        assert abs(res.rho / dense_rho(dense, u, 3.0) - 1.0) <= 1e-12
+        perron = vectors[:, 0] / np.max(np.abs(vectors[:, 0]))
+        np.testing.assert_allclose(res.eigenfield.values, np.abs(perron),
+                                   atol=1e-10)
+
     def test_dense_operator_takes_the_start(self, warm_state):
         # one iteration for every backend: a start saves the dense operator
         # products too, as many as it saves the O(n) one
