@@ -105,23 +105,22 @@ class KernelMatrix:
         return J
 
 
-def _tridiagonal_factors(lower, diag, upper):
-    """LAPACK gttrf factors of a tridiagonal matrix; overwrites its bands."""
+def _tridiagonal_factors(off, diag):
+    """LAPACK gttrf factors of the symmetric tridiagonal matrix with bands
+    off and diag; overwrites diag, not off."""
     if diag.size == 2:
         # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit row
-        lower, upper = np.append(lower, 0.0), np.append(upper, 0.0)
-        diag = np.append(diag, 1.0)
-    *factors, _ = _lapack("dgttrf")(lower, diag, upper, overwrite_dl=1,
-                                    overwrite_d=1, overwrite_du=1)
+        off, diag = np.append(off, 0.0), np.append(diag, 1.0)
+    *factors, _ = _lapack("dgttrf")(off, diag, off, overwrite_d=1)
     return tuple(factors)
 
 
-def _tridiagonal_solve(factors, b, trans="N"):
+def _tridiagonal_solve(factors, b):
     dgttrs = _lapack("dgttrs")
     n = b.size
     if factors[1].size > n:
-        return dgttrs(*factors, np.append(b, 0.0), trans=trans)[0][:n]
-    return dgttrs(*factors, b, trans=trans)[0]
+        return dgttrs(*factors, np.append(b, 0.0))[0][:n]
+    return dgttrs(*factors, b)[0]
 
 
 def _carried_cumsum(v: np.ndarray, chunks) -> None:
@@ -154,10 +153,16 @@ class HalfLineGreen:
     at any height.  The scaled weights are built once, when the operator is
     assembled.
 
-    S^{-1} = T is tridiagonal, which gives the Jacobians:
+    S^{-1} = T is tridiagonal and symmetric:
     T_{i,i+1} = -1/sinh(z_{i+1} - z_i) and
     T_ii = coth(z_i - z_{i-1}) + coth(z_{i+1} - z_i), with z_0 = 0 and the
-    last coth (of an infinite difference) equal to 1.
+    last coth (of an infinite difference) equal to 1.  A Jacobian
+    J = I - (S + C) E, C = diag(c) < 0 (the sub-cell average lies below
+    S_ii), E = diag(w * weights) >= 0, is solved through one gttrf of T - D,
+    with Lambda = (I - C E)^{-1} in (0, 1] and D = Lambda E:
+
+        J^{-1} b = Lambda (b + (T - D)^{-1} D b),
+        J^{-T} b = Lambda (b + E (T - D)^{-1} Lambda b).
     """
 
     grid: Grid
@@ -191,47 +196,40 @@ class HalfLineGreen:
         out += high
         return out
 
-    def t_times(self, b: np.ndarray) -> np.ndarray:
-        out = self.t_diag * b
-        out[:-1] += self.t_off * b[1:]
-        out[1:] += self.t_off * b[:-1]
-        return out
-
     def jacobian(self, weights: np.ndarray) -> TridiagonalJacobian:
-        """J = I - K diag(weights) = S A with A = T - M - T diag(c) M,
-        M = diag(w * weights); A is tridiagonal."""
-        m = self.grid.quad_weights * weights
-        scale = 1.0 - self.correction * m       # A = T diag(scale) - M
-        return TridiagonalJacobian(green=self,
-                                   lower=self.t_off * scale[:-1],
-                                   diag=self.t_diag * scale - m,
-                                   upper=self.t_off * scale[1:])
+        """J = I - (S + C) E, E = diag(w * weights), as T - D, Lambda, E."""
+        e = self.grid.quad_weights * weights
+        lam = 1.0 / (1.0 - self.correction * e)
+        return TridiagonalJacobian(off=self.t_off, diag=self.t_diag - lam * e,
+                                   lam=lam, e=e)
 
 
 @dataclass(frozen=True)
 class TridiagonalJacobian:
-    """The N = 1 Jacobian J = S A, held as A's three bands; lu_factor
-    overwrites them."""
+    """The N = 1 Jacobian of `HalfLineGreen`: T - D (off is the operator's
+    own T_{i,i+1}; lu_factor overwrites diag), Lambda and E."""
 
-    green: HalfLineGreen
-    lower: np.ndarray
+    off: np.ndarray
     diag: np.ndarray
-    upper: np.ndarray
+    lam: np.ndarray
+    e: np.ndarray
 
 
 @dataclass(frozen=True)
 class _TridiagonalLU:
-    green: HalfLineGreen
-    factors: tuple              # gttrf factors of A
+    factors: tuple              # gttrf factors of T - D
+    lam: np.ndarray
+    e: np.ndarray
 
     def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        # J^{-1} b = A^{-1} (T b) and J^{-T} b = T (A^{-T} b); a singular A
-        # gives non-finite entries, returned without a warning, as by getrs
+        # see `HalfLineGreen`; a singular T - D gives non-finite entries,
+        # returned without a warning, as by getrs
         with np.errstate(all="ignore"):
             if trans:
-                return self.green.t_times(
-                    _tridiagonal_solve(self.factors, b, "T"))
-            return _tridiagonal_solve(self.factors, self.green.t_times(b))
+                return self.lam * (b + self.e * _tridiagonal_solve(
+                    self.factors, self.lam * b))
+            return self.lam * (b + _tridiagonal_solve(
+                self.factors, self.lam * self.e * b))
 
 
 GreenOperator = KernelMatrix | HalfLineGreen
@@ -667,8 +665,8 @@ def jacobian(K: GreenOperator, u: Field, p: float):
     the form lu_factor takes.
 
     For a dense K it is the n x n matrix, Fortran-ordered.  For N = 1 it is
-    a `TridiagonalJacobian`: J = S A with A = T - M - T diag(c) M and
-    M = diag(w p u^{p-1}), in the notation of `HalfLineGreen`.
+    a `TridiagonalJacobian` in the notation of `HalfLineGreen`, with
+    E = diag(w p u^{p-1}).
     """
     return K.jacobian(p * np.maximum(u.values, 0.0) ** (p - 1.0))
 
@@ -677,13 +675,12 @@ def lu_factor(J):
     """LU factors of a Jacobian from `jacobian`; J is overwritten.
 
     A dense J is factorized by LAPACK getrf, in place when it is
-    Fortran-ordered; the tridiagonal A of the N = 1 Jacobian by gttrf, in
-    O(n).  A singular J is not reported here: its solves come out with
+    Fortran-ordered; the tridiagonal T - D of the N = 1 Jacobian by gttrf,
+    in O(n).  A singular J is not reported here: its solves come out with
     non-finite entries, and no warning.
     """
     if isinstance(J, TridiagonalJacobian):
-        return _TridiagonalLU(J.green, _tridiagonal_factors(J.lower, J.diag,
-                                                            J.upper))
+        return _TridiagonalLU(_tridiagonal_factors(J.off, J.diag), J.lam, J.e)
     lu, piv, _ = _lapack("dgetrf")(J, overwrite_a=1)
     return lu, piv
 

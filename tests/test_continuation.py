@@ -14,7 +14,7 @@ from scalarfield.discretization import Field, build_grid
 from scalarfield.operators import (KernelMatrix, _assemble_dense,
                                    assemble_green, linearized_spectrum,
                                    poisson_trace)
-from scalarfield.solver import monotone_iterate, psi_map
+from scalarfield.solver import estimate_kappa_star, monotone_iterate, psi_map
 
 from conftest import dense_rho, peak_allocation, soliton
 
@@ -237,9 +237,8 @@ class TestDetectFold:
             calls.append(1)
             J = jacobian(*args)
             if len(calls) > 1:
-                J = dataclasses.replace(J, lower=0.0 * J.lower,
-                                        diag=0.0 * J.diag,
-                                        upper=0.0 * J.upper)
+                J = dataclasses.replace(J, off=0.0 * J.off,
+                                        diag=0.0 * J.diag)
             return J
         monkeypatch.setattr(continuation, "jacobian", singular_after_first)
         top = branch.points[int(np.argmax(branch.kappas))]
@@ -441,6 +440,21 @@ def test_dense_branch_lambda_matches_the_dense_oracle(N, nodes):
     assert max(iterations[1:]) < iterations[0]
     for pt in branch.points + [fold]:
         assert abs(pt.eigen.rho / dense_rho(K, pt.field, 3.0) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N, shape, bracket", [
+    (1, (20.0, 20.0, 1, 2000), (0.5, 2.5)),
+    (2, (12.0, 12.0, 20, 30), (0.1, 20.0))],
+    ids=["halfline-fold", "plane-kernel"])
+def test_fold_lies_in_the_bisection_bracket(N, shape, bracket):
+    # on the benchmark workloads' grids the fold of the branch is the
+    # grid's threshold: the bisection brackets it
+    g = build_grid(N, *shape)
+    K = assemble_green(g)
+    Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+    kappa_fold, _ = detect_fold(trace_branch(0.2, K, Pmu, 3.0))
+    est = estimate_kappa_star(K, Pmu, 3.0, bracket=bracket, tol=1e-2)
+    assert est.lower <= kappa_fold <= est.upper
 
 
 class TestSolutionsAtKappa:

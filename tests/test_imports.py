@@ -157,10 +157,8 @@ elif sys.argv[1] == "no-attribute":
 from scalarfield.operators import (_blas, _tridiagonal_factors,
                                    _tridiagonal_solve)
 n = 50
-factors = _tridiagonal_factors(np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n),
-                               np.full(n - 1, -0.5))
-x = np.concatenate([_tridiagonal_solve(factors, np.linspace(-1.0, 2.0, n),
-                                       trans) for trans in "NT"])
+factors = _tridiagonal_factors(np.full(n - 1, -1.0), np.linspace(3.0, 4.0, n))
+x = _tridiagonal_solve(factors, np.linspace(-1.0, 2.0, n))
 k0 = kernels.bessel_k0(np.geomspace(1e-3, 40.0, 1000))
 a = np.add.outer(np.arange(n), np.arange(n)) / n
 y = _blas("dsymv")(1.0, a, np.linspace(-1.0, 2.0, n))

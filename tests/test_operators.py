@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import k1
 
 from scalarfield import kernels, operators
@@ -371,6 +372,28 @@ class TestLinearizedSpectrum:
             linearized_spectrum(K_line, u, 3.0, tol=1e-15)
         assert info.value.residual is not None
 
+    def test_a_basis_as_large_as_the_space_ends_with_it(self, monkeypatch):
+        # a synthetic K = S W on a real grid whose symmetric form B has the
+        # spectrum 1 - t, t from 1e-6 to 1 geometrically: wide, with a top
+        # gap of about 4e-7, so no Krylov space short of the whole one
+        # brings the Ritz residual to 1e-12.  Full reorthogonalization
+        # keeps the basis orthonormal, so the n-th product exhausts the
+        # space and rho is B's top eigenvalue; a basis that loses
+        # orthogonality (local three-term Lanczos, one Gram-Schmidt pass)
+        # runs on past n products, or never converges
+        n = 40
+        g = build_grid(1, 20.0, 20.0, 1, n)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+        B = (q * (1.0 - np.geomspace(1e-6, 1.0, n))) @ q.T
+        d = np.sqrt(2.0 * g.quad_weights)         # D at u = 1, p = 2
+        S = B / np.outer(d, d)
+        K = operators.KernelMatrix(g, 0.5 * (S + S.T))
+        u = Field(g, np.ones(n))
+        monkeypatch.setattr(operators, "_KRYLOV_BASIS", n)
+        res = linearized_spectrum(K, u, 2.0, tol=1e-12)
+        assert res.iterations <= n
+        assert abs(res.rho / dense_rho(K, u, 2.0) - 1.0) <= 1e-12
+
     def test_refinement_stability(self, K_line, Pmu_line, grid_line):
         from scalarfield.operators import assemble_green
         lam = []
@@ -497,7 +520,8 @@ class TestJacobian:
         u = Field(grid_line, -np.ones(grid_line.n_nodes))
         np.testing.assert_allclose(jacobian(K_line_dense, u, 3.0),
                                    np.eye(grid_line.n_nodes))
-        # the N = 1 Jacobian is the identity too: A = T, so J = S T
+        # the N = 1 Jacobian is the identity too: E = 0, so D = 0 and
+        # Lambda = I
         b = np.cos(grid_line.heights)
         x = lu_solve(lu_factor(jacobian(K_line, u, 3.0)), b)
         np.testing.assert_allclose(x, b, rtol=0.0, atol=1e-12)
@@ -607,6 +631,24 @@ class TestHalfLineBackend:
         for op in (K, dense):
             x = lu_solve(lu_factor(jacobian(op, u, 3.0)), b, trans=trans)
             assert np.max(np.abs(J @ x - b)) <= 1e-10 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_jacobian_solves_past_the_fold(self, half_line, trans):
+        # on the second branch (sqrt(2) sech(x - 1), kappa = sqrt(2) sech 1)
+        # J has one negative eigenvalue, and so has the symmetric
+        # tridiagonal T - D that gttrf factorizes: it pivots there
+        g, K, dense, _ = half_line
+        u = Field(g, np.sqrt(2.0) * _sech(g.heights - 1.0))
+        J = jacobian(K, u, 3.0)
+        low = eigvalsh_tridiagonal(J.diag, J.off, select="i",
+                                   select_range=(0, 1))
+        assert low[0] < 0.0 < low[1]
+        lu = lu_factor(J)
+        assert np.any(lu.factors[-1] != np.arange(1, g.n_nodes + 1))
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        x = lu_solve(lu, b, trans=trans)
+        ref = lu_solve(lu_factor(jacobian(dense, u, 3.0)), b, trans=trans)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fold(self, half_line):
         from scalarfield.continuation import detect_fold, trace_branch
