@@ -379,12 +379,12 @@ def _cmd_branch(cfg) -> int:
                      if (lambdas[i] - 1.0) * (lambdas[i + 1] - 1.0) < 0.0), None)
     results["lambda_crossing_index"] = crossing
     if branch.fold_index is not None:
-        kappa_fold, fold_pt = detect_fold(branch)
-        results["fold"] = {"kappa": kappa_fold, "lambda": fold_pt.lambda_,
-                           "sup_norm": fold_pt.field.sup_norm()}
+        fold = detect_fold(branch)
+        results["fold"] = {"kappa": fold.kappa, "lambda": fold.lambda_,
+                           "sup_norm": fold.field.sup_norm()}
     # tracing and fold detection together
-    results["corrector_steps"] = branch.stepper.corrector_steps
-    results["factorizations"] = branch.stepper.factorizations
+    results["corrector_steps"] = branch.corrector_steps
+    results["factorizations"] = branch.factorizations
     _write_summary(out_dir, "branch", cfg, results)
     return 0
 

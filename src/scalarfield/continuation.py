@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ _CORRECTOR_ITERS = 50
 _FOLD_REFINE = 10      # Newton steps on the extended fold system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchPoint:
     kappa: float
     field: Field
@@ -50,24 +50,41 @@ class BranchPoint:
         return self.eigen.lambda_
 
 
-class _Stepper:
-    """Continuation kinematics bound to one (K, Pmu, p) problem."""
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # mean-weighted product keeps the field and kappa components comparable
+    return float(np.dot(a, b)) / a.size
 
-    def __init__(self, K: GreenOperator, Pmu: Field, p: float):
-        self.K = K
-        self.Pmu = Pmu
-        self.p = p
-        # Jacobian LUs (each tangent() and fold Newton step), and the solves
-        # besides each LU's first (corrector steps, the fold's other three)
-        self.factorizations = 0
-        self.corrector_steps = 0
 
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        # mean-weighted product keeps the field and kappa components comparable
-        return float(np.dot(a, b)) / a.size
+@dataclass(eq=False)
+class Branch:
+    """The points traced on the branch of one (K, Pmu, p) problem, and the
+    work that tracing and fold detection took: Jacobian LUs (each tangent
+    and fold Newton step), and the solves besides each LU's first
+    (corrector steps, the fold's other three)."""
 
-    def tangent(self, u: np.ndarray,
-                previous: tuple[np.ndarray, float] | None):
+    K: GreenOperator
+    Pmu: Field
+    p: float
+    points: list[BranchPoint] = field(default_factory=list)
+    fold_index: int | None = None
+    factorizations: int = 0
+    corrector_steps: int = 0
+
+    @property
+    def kappas(self) -> np.ndarray:
+        return np.array([pt.kappa for pt in self.points])
+
+    def _append(self, u: np.ndarray, kappa: float, s: float) -> None:
+        """Append the point at (u, kappa), its eigenpair refined from the
+        last point's (the first point's cold)."""
+        f = Field(self.K.grid, u)
+        start = self.points[-1].eigen if self.points else None
+        eigen = linearized_spectrum(self.K, f, self.p, start=start)
+        self.points.append(BranchPoint(kappa=kappa, field=f, eigen=eigen,
+                                       arclength=s))
+
+    def _tangent(self, u: np.ndarray,
+                 previous: tuple[np.ndarray, float] | None):
         """LU of the Jacobian at u and the unit tangent (du, dkappa) there.
 
         The tangent solves J du = dkappa*Pmu and is oriented along the
@@ -79,14 +96,14 @@ class _Stepper:
         b = lu_solve(lu, self.Pmu.values)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")
-        scale = np.sqrt(self._dot(b, b) + 1.0)
+        scale = np.sqrt(_dot(b, b) + 1.0)
         du, dk = b / scale, 1.0 / scale
         if previous is not None:
-            if self._dot(previous[0], du) + previous[1] * dk < 0.0:
+            if _dot(previous[0], du) + previous[1] * dk < 0.0:
                 du, dk = -du, -dk
         return lu, du, dk
 
-    def correct(self, u_prev: np.ndarray, kappa_prev: float, tang, ds: float):
+    def _correct(self, u_prev: np.ndarray, kappa_prev: float, tang, ds: float):
         """Newton from the predictor at arclength ds back onto the branch.
 
         tang = (lu, du, dk) is the tangent returned with (u_prev, kappa_prev).
@@ -111,25 +128,25 @@ class _Stepper:
         try:
             for it in range(_CORRECTOR_ITERS):
                 F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
-                c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
+                c = _dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
                 F_sup = float(np.max(np.abs(F)))
                 if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
                     if lu_J is not lu:
                         return u, kappa, (lu_J, du_J, dk_J)
                     lu_J = None     # K, the caller's LU and the new J stay alive
-                    return u, kappa, self.tangent(u, (du, dk))
+                    return u, kappa, self._tangent(u, (du, dk))
                 residual = max(F_sup, abs(c))
                 if lu_J is not lu and residual > last:
                     return None
                 last = residual
                 if it > 0 and self.K.refactorize:
                     lu_J = None     # dropped before the next J forms
-                    lu_J, du_J, dk_J = self.tangent(u, (du, dk))
+                    lu_J, du_J, dk_J = self._tangent(u, (du, dk))
                 self.corrector_steps += 1
                 a = lu_solve(lu_J, F)
-                t = self._dot(du, a) - c
+                t = _dot(du, a) - c
                 if lu_J is not lu:
-                    t /= self._dot(du, du_J) + dk * dk_J
+                    t /= _dot(du, du_J) + dk * dk_J
                 u = u - a + t * du_J
                 kappa = kappa + t * dk_J
                 if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:
@@ -137,25 +154,6 @@ class _Stepper:
         except FloatingPointError:
             return None
         return None
-
-
-@dataclass
-class Branch:
-    points: list[BranchPoint]
-    fold_index: int | None
-    stepper: _Stepper
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return np.array([pt.kappa for pt in self.points])
-
-
-def _make_point(stepper: _Stepper, u: np.ndarray, kappa: float, s: float,
-                start: EigenResult | None) -> BranchPoint:
-    """The branch point at (u, kappa), its eigenpair refined from start."""
-    f = Field(stepper.K.grid, u)
-    eigen = linearized_spectrum(stepper.K, f, stepper.p, start=start)
-    return BranchPoint(kappa=kappa, field=f, eigen=eigen, arclength=s)
 
 
 def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
@@ -172,17 +170,16 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
         raise NoMinimalSolutionError(
             f"no minimal solution at start_kappa={start_kappa:g}; "
             "start below the threshold")
-    stepper = _Stepper(K, Pmu, p)
+    branch = Branch(K, Pmu, p)
     u = newton_refine(seed.solution, start_kappa, K, Pmu, p).values
     kappa, s = start_kappa, 0.0
-    tang = stepper.tangent(u, None)
+    tang = branch._tangent(u, None)
 
-    points = [_make_point(stepper, u, kappa, s, None)]
-    fold_index = None
+    branch._append(u, kappa, s)
     ds = min(step, _STEP_MAX)
     successes = 0
-    while len(points) < max_points:
-        result = stepper.correct(u, kappa, tang, ds)
+    while len(branch.points) < max_points:
+        result = branch._correct(u, kappa, tang, ds)
         if result is None:
             ds *= 0.5
             successes = 0
@@ -190,20 +187,20 @@ def trace_branch(start_kappa: float, K: GreenOperator, Pmu: Field, p: float,
                 break
             continue
         s += ds
-        if fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0:
-            fold_index = len(points)    # the point appended next
+        if branch.fold_index is None and tang[2] > 0.0 and result[2][2] < 0.0:
+            branch.fold_index = len(branch.points)    # the point appended next
         u, kappa, tang = result
-        points.append(_make_point(stepper, u, kappa, s, points[-1].eigen))
+        branch._append(u, kappa, s)
         successes += 1
         if successes >= 3:
             ds = min(ds * _STEP_GROW, _STEP_MAX, step * 4.0)
             successes = 0
-        if fold_index is not None and kappa < start_kappa:
+        if branch.fold_index is not None and kappa < start_kappa:
             break
-    return Branch(points=points, fold_index=fold_index, stepper=stepper)
+    return branch
 
 
-def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
+def detect_fold(branch: Branch) -> BranchPoint:
     """Locate the fold by Newton's method on the minimally extended system
 
         F(u, kappa) = 0,   g(u) = 0,   [J b; c^T 0] [v; g] = [0; 1],
@@ -221,14 +218,14 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
     grad g = p (p-1) u^{p-2} v K^T y, where K^T y = w K(y / w) because
     K = S W with S symmetric.  The step is dkappa = (grad g . a - g) /
     (grad g . d), u <- u - a + dkappa d.  It stops once |F| and |g| are
-    at most _NEWTON_TOL at an iterate; its eigenpair is refined from
-    J^{-1} b there.  A non-finite step, or _FOLD_REFINE steps without a
-    pass, returns the max-kappa point itself.
+    at most _NEWTON_TOL at an iterate and returns that iterate's
+    `BranchPoint`, its eigenpair refined from J^{-1} b.  A non-finite step,
+    or _FOLD_REFINE steps without a pass, returns the max-kappa point
+    itself.  LUs and solves are counted on the branch.
     """
     if branch.fold_index is None:
         raise ValueError("branch has no fold; trace further before detecting")
-    stepper = branch.stepper
-    K, Pmu, p = stepper.K, stepper.Pmu, stepper.p
+    K, Pmu, p = branch.K, branch.Pmu, branch.p
     top = branch.points[int(np.argmax(branch.kappas))]
     w = K.grid.quad_weights
     u, kappa = top.field.values, top.kappa
@@ -239,7 +236,7 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
         for _ in range(_FOLD_REFINE):
             F = u - psi_map(u, kappa, K, Pmu, p)
             lu = lu_factor(jacobian(K, Field(K.grid, u), p))
-            stepper.factorizations += 1
+            branch.factorizations += 1
             Jb = lu_solve(lu, b)
             if not np.all(np.isfinite(Jb)):
                 break
@@ -250,13 +247,13 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
                 f = Field(K.grid, u)
                 eigen = linearized_spectrum(K, f, p, start=replace(
                     top.eigen, eigenfield=Field(K.grid, Jb)))
-                return kappa, BranchPoint(kappa=kappa, field=f, eigen=eigen,
-                                          arclength=top.arclength)
+                return BranchPoint(kappa=kappa, field=f, eigen=eigen,
+                                   arclength=top.arclength)
             y = lu_solve(lu, c, 1)
             y /= np.dot(b, y)
             a = lu_solve(lu, F)
             d = lu_solve(lu, Pmu.values)
-            stepper.corrector_steps += 3
+            branch.corrector_steps += 3
             v = -g * Jb
             # u^{p-2} only where u > 0: it is infinite where u underflows
             # to 0.0 and p < 2
@@ -267,7 +264,7 @@ def detect_fold(branch: Branch) -> tuple[float, BranchPoint]:
             kappa = kappa + dkappa
             if not (np.isfinite(kappa) and np.all(np.isfinite(u))):
                 break
-    return top.kappa, top
+    return top
 
 
 def solutions_at_kappa(branch: Branch, kappa: float) -> list[Field]:
@@ -281,7 +278,6 @@ def solutions_at_kappa(branch: Branch, kappa: float) -> list[Field]:
         warnings.warn(f"kappa={kappa:g} lies above the fold at "
                       f"{np.max(kappas):.6g}; no solutions on this branch")
         return []
-    stepper = branch.stepper
     out = []
     for i in range(len(kappas) - 1):
         k0, k1 = kappas[i], kappas[i + 1]
@@ -290,8 +286,8 @@ def solutions_at_kappa(branch: Branch, kappa: float) -> list[Field]:
         t = (kappa - k0) / (k1 - k0)
         seed = ((1.0 - t) * branch.points[i].field.values
                 + t * branch.points[i + 1].field.values)
-        refined = newton_refine(Field(stepper.K.grid, seed), kappa,
-                                stepper.K, stepper.Pmu, stepper.p)
+        refined = newton_refine(Field(branch.K.grid, seed), kappa,
+                                branch.K, branch.Pmu, branch.p)
         if all(np.max(np.abs(refined.values - f.values)) > 1e-6
                * max(1.0, refined.sup_norm()) for f in out):
             out.append(refined)

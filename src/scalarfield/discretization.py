@@ -17,7 +17,7 @@ import numpy as np
 _MAX_EXTENT = np.sqrt(np.finfo(float).max) / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     dimension: int
     nodes: np.ndarray        # (n, N); for N >= 2 the lateral part is (radius, 0[, ...])
@@ -119,7 +119,7 @@ def weight_h(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Nodal values on a grid, with the weighted norms attached."""
 

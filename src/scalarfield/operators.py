@@ -74,7 +74,7 @@ class DegenerateLinearizationError(ValueError):
     """The linearized operator at a state has no dominant eigenpair to find."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Dense Green operator K = S W.  It stores the bare kernel S, exactly
     symmetric: kernel[i, j] = (averaged kernel)(x_i, x_j), with no
@@ -132,7 +132,7 @@ def _carried_cumsum(v: np.ndarray, chunks) -> None:
         np.add.accumulate(v[lo:hi], out=v[lo:hi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfLineGreen:
     """The N = 1 Green matrix K = (S + diag c) W, applied and factorized in O(n).
 
@@ -204,7 +204,7 @@ class HalfLineGreen:
                                    lam=lam, e=e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalJacobian:
     """The N = 1 Jacobian of `HalfLineGreen`: T - D (off is the operator's
     own T_{i,i+1}; lu_factor overwrites diag), Lambda and E."""
@@ -215,7 +215,7 @@ class TridiagonalJacobian:
     e: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TridiagonalLU:
     factors: tuple              # gttrf factors of T - D
     lam: np.ndarray
@@ -578,7 +578,7 @@ def poisson_trace(grid: Grid, mu_spec: dict) -> Field:
     raise ValueError(f"unknown boundary measure type {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Dominant eigenvalue data of the linearized operator at a state u.
 

@@ -44,7 +44,7 @@ class NoMinimalSolutionError(ValueError):
     """The monotone iteration diverged at the start of the branch."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     status: str                 # "converged" | "diverged" | "iteration_limit"
     solution: Field | None

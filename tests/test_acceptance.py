@@ -104,9 +104,9 @@ def test_stability_across_the_fold(K_acc, Pmu_acc, branch_acc, kstar_acc):
         low = monotone_iterate(0.5 * kappa_star, K_acc, Pmu_acc, 3.0).solution
         assert linearized_spectrum(K_acc, low, 3.0).lambda_ > 1.05
 
-        kappa_fold, fold_pt = detect_fold(branch_acc)
+        fold_pt = detect_fold(branch_acc)
         assert fold_pt.lambda_ == pytest.approx(1.0, abs=2e-2)
-        assert abs(kappa_fold - kappa_star) <= 1.5e-2
+        assert abs(fold_pt.kappa - kappa_star) <= 1.5e-2
 
         upper = solutions_at_kappa(branch_acc, 0.8 * kappa_star)[-1]
         assert linearized_spectrum(K_acc, upper, 3.0).lambda_ < 0.95

@@ -297,7 +297,7 @@ class TestCommands:
         csv = (out / "branch.csv").read_bytes()
         results = json.loads((out / "summary.json").read_text())["results"]
         assert results["fold_index"] is not None
-        monkeypatch.setattr(continuation._Stepper, "correct",
+        monkeypatch.setattr(continuation.Branch, "_correct",
                             _chord_with_one_lu)
         assert run_command(["branch", "--config", path]) == 0
         assert (out / "branch.csv").read_bytes() == csv
@@ -362,19 +362,20 @@ def _chord_with_one_lu(self, u_prev, kappa_prev, tang, ds):
     """The chord corrector that solves with the accepted point's LU at
     every step, for a reference trace."""
     lu, du, dk = tang
+    dot = continuation._dot
     u, kappa = u_prev + ds * du, kappa_prev + ds * dk
     for _ in range(continuation._CORRECTOR_ITERS):
         F = u - psi_map(u, kappa, self.K, self.Pmu, self.p)
-        c = self._dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
+        c = dot(du, u - u_prev) + dk * (kappa - kappa_prev) - ds
         if (np.max(np.abs(F)) <= continuation._NEWTON_TOL
                 and abs(c) <= continuation._NEWTON_TOL):
             try:
-                return u, kappa, self.tangent(u, (du, dk))
+                return u, kappa, self._tangent(u, (du, dk))
             except FloatingPointError:
                 return None
         with np.errstate(all="ignore"):
             a = lu_solve(lu, F)
-        t = self._dot(du, a) - c
+        t = dot(du, a) - c
         u = u - a + t * du
         kappa = kappa + t * dk
         if not np.isfinite(kappa) or np.max(np.abs(u)) > 1e8:

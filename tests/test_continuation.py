@@ -8,7 +8,7 @@ from scipy.linalg import lu_factor
 
 from scalarfield import continuation
 from scalarfield.cli import OUTPUT_DIR_ENV, run_command
-from scalarfield.continuation import (_Stepper, detect_fold,
+from scalarfield.continuation import (Branch, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
 from scalarfield.operators import (KernelMatrix, _assemble_dense,
@@ -84,7 +84,7 @@ class TestTraceBranch:
         short = trace_branch(0.5, K, Pmu, 3.0, step=0.05, max_points=8)
         assert len(short.points) == 8
         assert len(calls) == len(short.points)
-        assert short.stepper.factorizations == len(calls)
+        assert short.factorizations == len(calls)
 
     def test_half_line_refactorizes_to_save_fixed_point_maps(
             self, K_line, Pmu_line, monkeypatch):
@@ -105,7 +105,7 @@ class TestTraceBranch:
         assert len(short.points) == 8
         assert len(maps) < 35
         assert len(factors) > len(short.points)
-        assert short.stepper.factorizations == len(factors)
+        assert short.factorizations == len(factors)
 
     def test_correction_that_leaves_the_newton_basin_stops_early(
             self, K_line, Pmu_line, branch):
@@ -115,12 +115,12 @@ class TestTraceBranch:
         i = int(np.argmax(branch.kappas))
         top, before = branch.points[i], branch.points[i - 1]
         u = top.field.values
-        stepper = _Stepper(K_line, Pmu_line, 3.0)
-        tang = stepper.tangent(u, (u - before.field.values,
-                                   top.kappa - before.kappa))
-        assert stepper.correct(u, top.kappa, tang, 0.4) is None
-        assert stepper.factorizations > 1
-        assert stepper.corrector_steps < 10
+        fresh = Branch(K_line, Pmu_line, 3.0)
+        tang = fresh._tangent(u, (u - before.field.values,
+                                  top.kappa - before.kappa))
+        assert fresh._correct(u, top.kappa, tang, 0.4) is None
+        assert fresh.factorizations > 1
+        assert fresh.corrector_steps < 10
 
     def test_points_match_the_closed_form_branch(self, grid_line, branch):
         # sqrt(2) sech(x + a) below the fold, sqrt(2) sech(x - a) above,
@@ -155,18 +155,18 @@ def plane():
 class TestTangentMemory:
     def test_tangent_allocates_one_matrix(self, plane):
         _, K, Pmu, u = plane
-        stepper = _Stepper(K, Pmu, 3.0)
-        previous = stepper.tangent(u, None)     # its LU stays alive
-        _, extra = peak_allocation(stepper.tangent, u,
+        fresh = Branch(K, Pmu, 3.0)
+        previous = fresh._tangent(u, None)     # its LU stays alive
+        _, extra = peak_allocation(fresh._tangent, u,
                                    (previous[1], previous[2]))
         assert extra <= 1.1 * K.kernel.nbytes
 
     def test_half_line_tangent_holds_a_few_vectors(self, grid_line, K_line,
                                                    Pmu_line):
-        stepper = _Stepper(K_line, Pmu_line, 3.0)
+        fresh = Branch(K_line, Pmu_line, 3.0)
         u = soliton(grid_line.heights, 1.0)
-        previous = stepper.tangent(u, None)     # its LU stays alive
-        _, extra = peak_allocation(stepper.tangent, u,
+        previous = fresh._tangent(u, None)     # its LU stays alive
+        _, extra = peak_allocation(fresh._tangent, u,
                                    (previous[1], previous[2]))
         assert extra <= 16 * 8 * grid_line.n_nodes
 
@@ -177,13 +177,13 @@ class TestTangentMemory:
         # point's tangent
         _, K, Pmu, u = plane
         monkeypatch.setattr(KernelMatrix, "refactorize", True)
-        stepper = _Stepper(K, Pmu, 3.0)
-        tang = stepper.tangent(u, None)         # the caller's LU stays alive
-        result, extra = peak_allocation(stepper.correct, u, 0.5, tang, 0.5)
+        fresh = Branch(K, Pmu, 3.0)
+        tang = fresh._tangent(u, None)         # the caller's LU stays alive
+        result, extra = peak_allocation(fresh._correct, u, 0.5, tang, 0.5)
         assert result is not None
         # the caller's LU and one refactorization per step after the first,
         # at least two, the last of them the converged point's tangent
-        assert stepper.factorizations == stepper.corrector_steps >= 3
+        assert fresh.factorizations == fresh.corrector_steps >= 3
         assert result[2][0] is not tang[0]
         assert extra <= 1.1 * K.kernel.nbytes
 
@@ -196,7 +196,7 @@ class TestTangentMemory:
             built.append(jacobian(*args))
             return built[-1]
         monkeypatch.setattr(continuation, "jacobian", keep)
-        lu, _, _ = _Stepper(K, Pmu, 3.0).tangent(u, None)
+        lu, _, _ = Branch(K, Pmu, 3.0)._tangent(u, None)
         assert built[0].flags.f_contiguous
         assert np.shares_memory(lu[0], built[0])
         # the same factors as SciPy's copying LU of a C-ordered Jacobian
@@ -208,8 +208,8 @@ class TestTangentMemory:
 
 class TestDetectFold:
     def test_fold_location_and_state(self, grid_line, branch):
-        kappa_fold, pt = detect_fold(branch)
-        assert kappa_fold == pytest.approx(np.sqrt(2.0), abs=1e-3)
+        pt = detect_fold(branch)
+        assert pt.kappa == pytest.approx(np.sqrt(2.0), abs=1e-3)
         exact = np.sqrt(2.0) / np.cosh(grid_line.heights)
         assert np.max(np.abs(pt.field.values - exact)) <= 5e-3
         assert pt.lambda_ == pytest.approx(1.0, abs=2e-2)
@@ -222,8 +222,8 @@ class TestDetectFold:
         top = branch.points[int(np.argmax(branch.kappas))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kappa_fold, pt = detect_fold(branch)
-        assert kappa_fold == top.kappa
+            pt = detect_fold(branch)
+        assert pt.kappa == top.kappa
         assert pt is top
 
     def test_singular_tangent_returns_the_max_kappa_point(self, branch,
@@ -244,9 +244,9 @@ class TestDetectFold:
         top = branch.points[int(np.argmax(branch.kappas))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kappa_fold, pt = detect_fold(branch)
+            pt = detect_fold(branch)
         assert len(calls) == 2
-        assert kappa_fold == top.kappa
+        assert pt.kappa == top.kappa
         assert pt is top
 
     def test_underflowed_state_with_p_below_two(self):
@@ -259,8 +259,8 @@ class TestDetectFold:
             warnings.simplefilter("error")
             branch = trace_branch(0.2, K, Pmu, 1.5)
             assert np.any(branch.points[-1].field.values == 0.0)
-            kappa_fold, pt = detect_fold(branch)
-        assert kappa_fold > np.max(branch.kappas)
+            pt = detect_fold(branch)
+        assert pt.kappa > np.max(branch.kappas)
         assert abs(pt.lambda_ - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
@@ -272,7 +272,7 @@ class TestDetectFold:
             g = build_grid(1, 20.0, 20.0, 1, n)
             K = assemble_green(g)
             Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
-            kappa_fold, _ = detect_fold(trace_branch(0.2, K, Pmu, p))
+            kappa_fold = detect_fold(trace_branch(0.2, K, Pmu, p)).kappa
             errors.append(abs(kappa_fold - exact))
         assert errors[0] <= 3e-6
         assert errors[1] <= 2.0 * errors[0] * (2000 / 8000) ** 2
@@ -296,7 +296,7 @@ class TestDetectFold:
             calls.append(1)
             return lu_factor(*args)
         monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
-        kappa_fold, _ = detect_fold(branch)
+        kappa_fold = detect_fold(branch).kappa
         assert abs(kappa_fold / secant_fold - 1.0) <= 1e-10
         assert len(calls) <= 5
 
@@ -336,7 +336,7 @@ def warm_branch(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "linearized_spectrum", recording_spectrum)
         branch = trace_branch(0.2, K, Pmu, p)
-        _, fold = detect_fold(branch)
+        fold = detect_fold(branch)
     return K, p, branch, fold, calls
 
 
@@ -413,9 +413,9 @@ class TestWarmEigenpairs:
             solved.append(b)
             return lu_solve(lu, b, trans)
         monkeypatch.setattr(continuation, "lu_solve", recording_lu_solve)
-        kappa, pt = detect_fold(dataclasses.replace(branch, points=points))
+        pt = detect_fold(dataclasses.replace(branch, points=points))
         assert solved[0] is psi.values
-        assert kappa == fold.kappa
+        assert pt.kappa == fold.kappa
         assert pt.field.values.tobytes() == fold.field.values.tobytes()
 
     @pytest.mark.parametrize("warm_branch", WARM_CASES[:1], ids=_case_id,
@@ -435,7 +435,7 @@ def test_dense_branch_lambda_matches_the_dense_oracle(N, nodes):
     K = assemble_green(g)
     branch = trace_branch(0.2, K, poisson_trace(
         g, {"type": "point_mass", "mass": 1.0}), 3.0)
-    _, fold = detect_fold(branch)
+    fold = detect_fold(branch)
     iterations = [pt.eigen.iterations for pt in branch.points]
     assert max(iterations[1:]) < iterations[0]
     for pt in branch.points + [fold]:
@@ -452,7 +452,7 @@ def test_fold_lies_in_the_bisection_bracket(N, shape, bracket):
     g = build_grid(N, *shape)
     K = assemble_green(g)
     Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
-    kappa_fold, _ = detect_fold(trace_branch(0.2, K, Pmu, 3.0))
+    kappa_fold = detect_fold(trace_branch(0.2, K, Pmu, 3.0)).kappa
     est = estimate_kappa_star(K, Pmu, 3.0, bracket=bracket, tol=1e-2)
     assert est.lower <= kappa_fold <= est.upper
 

@@ -245,6 +245,52 @@ class TestKappaStar:
             estimate_kappa_star(K_line, Pmu_line, 3.0, bracket=(-1.0, 2.0))
 
 
+def _half_line_problem(n):
+    g = build_grid(1, 20.0, 20.0, 1, n)
+    return g, assemble_green(g), poisson_trace(
+        g, {"type": "point_mass", "mass": 1.0})
+
+
+def _threshold(p):
+    """kappa*(p) = ((p + 1)/2)^{1/(p-1)}, the peak of the half-line
+    solution w_p(x) = kappa*(p) sech^{2/(p-1)}((p-1) x / 2)."""
+    return ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+
+
+POWERS = [1.5, 2.0, 3.0, 5.0, 9.0]
+
+
+class TestHalfLineClosedFormsInP:
+    """The N = 1 oracles for every p: the minimal solution at kappa is the
+    shift w_p(x + a) with w_p(a) = kappa, and the threshold is w_p(0)."""
+
+    @pytest.mark.parametrize("p", POWERS)
+    def test_minimal_solution_converges_at_second_order(self, p):
+        kstar = _threshold(p)
+        kappa = 0.6 * kstar
+        a = (2.0 / (p - 1.0)) * np.arccosh((kstar / kappa)
+                                           ** ((p - 1.0) / 2.0))
+        errors = []
+        for n in (2000, 8000):
+            g, K, Pmu = _half_line_problem(n)
+            res = monotone_iterate(kappa, K, Pmu, p, tol=1e-12)
+            assert res.converged
+            exact = kstar / np.cosh((p - 1.0) * (g.heights + a) / 2.0) \
+                ** (2.0 / (p - 1.0))
+            errors.append(np.max(np.abs(res.solution.values - exact)))
+        # 6.6e-7 at p = 1.5 down to 2.1e-9 at p = 9 on 2000 nodes
+        assert errors[0] <= 1e-6
+        assert errors[1] <= 2.0 * errors[0] * (2000 / 8000) ** 2
+
+    @pytest.mark.parametrize("p", POWERS)
+    def test_threshold_lies_in_the_bisection_bracket(self, p):
+        kstar = _threshold(p)
+        _, K, Pmu = _half_line_problem(2000)
+        est = estimate_kappa_star(K, Pmu, p, bracket=(0.5 * kstar,
+                                                      2.0 * kstar), tol=1e-2)
+        assert est.lower <= kstar <= est.upper
+
+
 def _reference_bisection(K, Pmu, p, bracket, tol):
     """kappa* bisection without certificates: a full monotone run per
     probe, and the increment-tail rule at the cap.  Returns the bracket and
