@@ -221,19 +221,18 @@ def _grid(cfg):
                       gc["nodes_lateral"], gc["nodes_height"], gc["grading"])
 
 
-def _check_budget(cfg, copies, fields=0):
-    """Refuse, from the config alone, a grid whose arrays held at once
-    exceed the memory budget: `copies` dense n x n matrices for N >= 2, the
-    operator's vectors and `fields` kept fields for N = 1."""
+def _check_budget(cfg, fields=0):
+    """Refuse, from the config alone, a grid whose arrays and `fields` kept
+    fields exceed the memory budget (`check_memory_budget`)."""
     N, gc = cfg["problem"]["N"], cfg["grid"]
     n = gc["nodes_height"] * (1 if N == 1 else gc["nodes_lateral"])
-    check_memory_budget(N, n, copies, fields)
+    check_memory_budget(N, n, fields)
 
 
-def _build_problem(cfg, copies, fields=0):
+def _build_problem(cfg, fields=0):
     """Grid, Green operator and Pmu; the budget is checked before the grid
     is built."""
-    _check_budget(cfg, copies, fields)
+    _check_budget(cfg, fields)
     grid = _grid(cfg)
     K = assemble_green(grid)
     Pmu = poisson_trace(grid, cfg["problem"]["mu_spec"])
@@ -281,7 +280,7 @@ def _exponents_usage(message: str) -> int:
 
 
 def _cmd_solve(cfg) -> int:
-    grid, K, Pmu = _build_problem(cfg, copies=1)
+    grid, K, Pmu = _build_problem(cfg)
     prob = cfg["problem"]
     result = _minimal_solution(cfg, K, Pmu)
     out_dir = _output_dir(cfg)
@@ -301,7 +300,7 @@ def _cmd_solve(cfg) -> int:
 
 
 def _cmd_kappa_star(cfg) -> int:
-    _, K, Pmu = _build_problem(cfg, copies=1)
+    _, K, Pmu = _build_problem(cfg)
     prob, solv = cfg["problem"], cfg["solver"]
     est = estimate_kappa_star(K, Pmu, prob["p"],
                               bracket=tuple(solv["bracket"]),
@@ -334,7 +333,7 @@ def _cmd_kappa_star(cfg) -> int:
 
 
 def _cmd_eigen(cfg) -> int:
-    grid, K, Pmu = _build_problem(cfg, copies=1)
+    grid, K, Pmu = _build_problem(cfg)
     prob, solv = cfg["problem"], cfg["solver"]
     result = _minimal_solution(cfg, K, Pmu)
     if not result.converged:
@@ -354,11 +353,8 @@ def _cmd_eigen(cfg) -> int:
 def _cmd_branch(cfg) -> int:
     from .continuation import detect_fold, trace_branch
     cont = cfg["continuation"]
-    # K, the previous point's LU and the new Jacobian while a tangent forms
-    # (a corrector drops its own refactorized LU before the next one forms);
     # the branch points and the fold point keep a field and an eigenfield each
-    _, K, Pmu = _build_problem(cfg, copies=3,
-                               fields=2 * (cont["max_points"] + 1))
+    _, K, Pmu = _build_problem(cfg, fields=2 * (cont["max_points"] + 1))
     prob, exps = cfg["problem"], cfg["exponents"]
     branch = trace_branch(cont["start_kappa"], K, Pmu, prob["p"],
                           step=cont["step"], max_points=cont["max_points"])
@@ -402,7 +398,7 @@ def _cmd_verify(cfg, suite: str) -> int:
     prob = cfg["problem"]
     N = prob["N"]
     # the kernels and structure suites build the config's grid
-    _check_budget(cfg, copies=1)
+    _check_budget(cfg)
     reports = []
     if suite in ("kernels", "all"):
         reports.append(verify_kernel_identities(_grid(cfg)))
@@ -413,7 +409,7 @@ def _cmd_verify(cfg, suite: str) -> int:
         q, alpha = cfg["exponents"]["q"], cfg["exponents"]["alpha"]
         reports.append(verify_glaa(N, q, alpha, q, alpha))
     if suite in ("structure", "all"):
-        _, K, Pmu = _build_problem(cfg, copies=1)
+        _, K, Pmu = _build_problem(cfg)
         reports.append(verify_solution_structure([0.2, 0.4, 0.8],
                                                  K, Pmu, prob["p"]))
     payload = [vars(r) for r in reports]

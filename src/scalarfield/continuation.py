@@ -2,17 +2,13 @@
 
 The solution family (u(s), kappa(s)) of u = kappa*Pmu + G[u^p] is traced
 past the fold where the minimal and the second branch meet.  Each accepted
-point holds a factorized Jacobian and the tangent it gives.  The corrector
-solves the bordered system with one factorized Jacobian at a time, one
-triangular solve per iteration: the accepted point's (a chord), or, when
-the Green operator's `refactorize` is set, a fresh one at every iterate
-after the first (bordered Newton), the last of which, one Newton step
-before the corrected point, is that point's tangent.  The O(n) N = 1
-operator sets it; a dense one, whose LU costs more chord steps than a
-point takes, does not, and factorizes each accepted point once more for
-its tangent.  Each `BranchPoint` owns its `EigenResult` (lambda = 1/rho),
-refined from the previous point's.  The fold is solved for by Newton's
-method on the minimally extended system (`detect_fold`).
+point holds the solver of its Jacobian and the tangent it gives.  The
+corrector takes bordered Newton steps: the first with the accepted point's
+solver, each later one with a fresh Jacobian at the iterate (O(n) for
+N = 1, GMRES on the Green product for a dense grid), the last of which is
+the corrected point's tangent.  Each `BranchPoint` owns its `EigenResult`
+(lambda = 1/rho), refined from the previous point's.  The fold is solved
+for by Newton's method on the minimally extended system (`detect_fold`).
 """
 
 from __future__ import annotations
@@ -34,6 +30,9 @@ _STEP_MAX = 0.2
 _STEP_GROW = 1.3
 _NEWTON_TOL = 1e-11
 _CORRECTOR_ITERS = 50
+# most the first corrector step may multiply the residual by: N = 1 fold
+# passages reach 4, a jump across a turning-point loop (N = 2, 10 x 12) 21
+_FIRST_RISE = 10.0
 _FOLD_REFINE = 10      # Newton steps on the extended fold system
 
 
@@ -58,9 +57,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(eq=False)
 class Branch:
     """The points traced on the branch of one (K, Pmu, p) problem, and the
-    work that tracing and fold detection took: Jacobian LUs (each tangent
-    and fold Newton step), and the solves besides each LU's first
-    (corrector steps, the fold's other three)."""
+    work tracing and fold detection took: Jacobians formed, and the solves
+    besides each one's first (corrector steps, the fold's other three)."""
 
     K: GreenOperator
     Pmu: Field
@@ -85,14 +83,13 @@ class Branch:
 
     def _tangent(self, u: np.ndarray,
                  previous: tuple[np.ndarray, float] | None):
-        """LU of the Jacobian at u and the unit tangent (du, dkappa) there.
+        """Solver of the Jacobian at u and the unit tangent (du, dkappa) there.
 
         The tangent solves J du = dkappa*Pmu and is oriented along the
         direction previous = (du, dkappa); without one, dkappa > 0.
         """
-        J = jacobian(self.K, Field(self.K.grid, u), self.p)
         self.factorizations += 1
-        lu = lu_factor(J)
+        lu = lu_factor(jacobian(self.K, Field(self.K.grid, u), self.p))
         b = lu_solve(lu, self.Pmu.values)
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("singular Jacobian while forming tangent")
@@ -107,22 +104,16 @@ class Branch:
         """Newton from the predictor at arclength ds back onto the branch.
 
         tang = (lu, du, dk) is the tangent returned with (u_prev, kappa_prev).
-        Each iterate takes one bordered step with the factorized Jacobian J
-        and its unit tangent (du_J, dk_J): the solve a = J^{-1} F plus the
-        multiple t = (<du, a> - c) / (<du, du_J> + dk dk_J) of that tangent.
-        J starts as tang, where the denominator is exactly 1 and is not
-        formed (a chord).  From the second iterate on, J is refactorized at
-        each iterate when the Green operator says `refactorize` (the O(n)
-        N = 1 operator; a dense one keeps the chord).  A residual above
-        the previous one after a refactorization ends the correction:
-        Newton has left its basin, and a shorter step does better.  Returns
-        (u, kappa, tangent oriented along (du, dk)) at the corrected point,
-        or None if the correction fails or a Jacobian is singular.  After a
-        refactorization the tangent is the last one's, formed one Newton
-        step before the corrected point; a chord forms a fresh one there.
-        """
+        Each iterate takes one bordered step with a Jacobian J and its unit
+        tangent (du_J, dk_J): a = J^{-1} F plus t = (<du, a> - c) /
+        (<du, du_J> + dk dk_J) times that tangent.  J is tang's at the first
+        iterate (the denominator, 1, is not formed) and the iterate's own
+        after.  A residual above the previous one (_FIRST_RISE times it
+        after the first step) ends the correction: Newton has left its
+        basin.  Returns (u, kappa, the last J's tangent oriented along
+        (du, dk)), or None if the correction fails or J is singular."""
         lu, du, dk = tang
-        lu_J, du_J, dk_J = tang     # the factorized point, here a chord
+        lu_J, du_J, dk_J = tang     # the Jacobian of the current step
         last = math.inf         # residual at the previous iterate
         u, kappa = u_prev + ds * du, kappa_prev + ds * dk
         try:
@@ -133,14 +124,12 @@ class Branch:
                 if F_sup <= _NEWTON_TOL and abs(c) <= _NEWTON_TOL:
                     if lu_J is not lu:
                         return u, kappa, (lu_J, du_J, dk_J)
-                    lu_J = None     # K, the caller's LU and the new J stay alive
                     return u, kappa, self._tangent(u, (du, dk))
                 residual = max(F_sup, abs(c))
-                if lu_J is not lu and residual > last:
+                if residual > last * (1.0 if lu_J is not lu else _FIRST_RISE):
                     return None
                 last = residual
-                if it > 0 and self.K.refactorize:
-                    lu_J = None     # dropped before the next J forms
+                if it > 0:
                     lu_J, du_J, dk_J = self._tangent(u, (du, dk))
                 self.corrector_steps += 1
                 a = lu_solve(lu_J, F)
@@ -212,7 +201,7 @@ def detect_fold(branch: Branch) -> BranchPoint:
     the Perron eigenfield psi of the max-kappa branch point and c = m psi
     (m = w p u^{p-1}, w the quadrature weights), the left one, scaled to
     c . b = 1, so that g is about 1 - lambda.  Newton starts at the
-    max-kappa point.  A step makes one LU of J and four solves: J^{-1} b,
+    max-kappa point.  A step forms J once and makes four solves: J^{-1} b,
     J^{-T} c, a = J^{-1} F and d = J^{-1} Pmu.  With the left vector
     y = J^{-T} c / (b . J^{-T} c) and v = J^{-1} b / (c . J^{-1} b),
     grad g = p (p-1) u^{p-2} v K^T y, where K^T y = w K(y / w) because
@@ -221,7 +210,7 @@ def detect_fold(branch: Branch) -> BranchPoint:
     at most _NEWTON_TOL at an iterate and returns that iterate's
     `BranchPoint`, its eigenpair refined from J^{-1} b.  A non-finite step,
     or _FOLD_REFINE steps without a pass, returns the max-kappa point
-    itself.  LUs and solves are counted on the branch.
+    itself.  Jacobians and solves are counted on the branch.
     """
     if branch.fold_index is None:
         raise ValueError("branch has no fold; trace further before detecting")

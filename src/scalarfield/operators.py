@@ -18,10 +18,11 @@ evaluate each symmetric pair once and mirror it.  A mirror pair is the
 two-angle ring {0, pi}.  The radial Poisson trace is a fixed graded
 Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
 default grids; no adaptive quadrature is left in this module.  `lu_factor` /
-`lu_solve` are the package's only factorization of the Jacobian `jacobian`
-returns for either operator.  They take SciPy's LAPACK wrappers, and the
-dense matvec SciPy's BLAS dsymv, on first use from the extension modules
-scipy.linalg._flapack and scipy.linalg._fblas alone (see
+`lu_solve` are the package's only solver of the Jacobian `jacobian`
+returns: LAPACK gttrf factors in O(n) for N = 1, GMRES on the Green
+product for a dense one, which is never formed (`KrylovJacobian`).  gttrf
+and the matvec's BLAS dsymv are taken on first use from the extension
+modules scipy.linalg._flapack and scipy.linalg._fblas alone (see
 `kernels._scipy_module`), so no command imports the scipy.linalg package.
 """
 
@@ -36,10 +37,9 @@ from .discretization import Field, Grid
 from .kernels import _scipy_attr, fundamental_E, poisson_P
 
 MAX_MATRIX_BYTES = 4 * 2 ** 30
-# length-n float64 vectors a half-line command holds at once besides the
-# fields it keeps: grid, operator and Jacobian factors, iterates, output
-# columns, linearized_spectrum's _KRYLOV_BASIS Lanczos vectors and their
-# products (tracemalloc reads 31-61 per command at 2·10^4 nodes)
+# length-n vectors a command holds besides its fields, dense matrix and
+# GMRES basis: grid, operator, Jacobian factors, iterates, output, Lanczos
+# vectors and products (tracemalloc: 31-61 per N = 1 command at 2·10^4 nodes)
 HALF_LINE_VECTORS = 64
 
 # kernel evaluations per assembly block; bounds every assembly temporary
@@ -47,7 +47,7 @@ _BLOCK_ENTRIES = 500_000
 # largest height span of one chunk of the N = 1 matvec: its scaled
 # exponentials stay within e^{+-300}, far inside float64's e^{+-709}
 _CHUNK_SPAN = 300.0
-# a LAPACK wrapper by name: dgttrf, dgttrs, dgetrf, dgetrs
+# a LAPACK wrapper by name: dgttrf, dgttrs
 _lapack = functools.partial(_scipy_attr, "linalg._flapack", "linalg.lapack")
 # a BLAS wrapper by name: dsymv
 _blas = functools.partial(_scipy_attr, "linalg._fblas", "linalg.blas")
@@ -60,6 +60,9 @@ _PAIR = (np.array([0.0, np.pi]), np.array([0.5, 0.5]))
 _SPECTRUM_ITERS = 20_000
 # Lanczos vectors held before a restart, each with its Green product
 _KRYLOV_BASIS = 8
+# a dense Jacobian solve's GMRES tolerance and its cap on Green products
+_GMRES_TOL = 1e-13
+_GMRES_ITERS = 100
 
 
 class IterationLimitError(RuntimeError):
@@ -82,8 +85,6 @@ class KernelMatrix:
 
     grid: Grid
     kernel: np.ndarray
-    # a dense LU and tangent cost ~28 chord steps (864 nodes); a point takes ~15
-    refactorize = False
 
     def __post_init__(self):
         n = self.grid.n_nodes
@@ -95,14 +96,61 @@ class KernelMatrix:
         # S.T is S, and Fortran-ordered, so dsymv reads it without a copy
         return _blas("dsymv")(1.0, self.kernel.T, self.grid.quad_weights * x)
 
-    def jacobian(self, weights: np.ndarray) -> np.ndarray:
-        """I - S diag(w * weights), Fortran-ordered, so lu_factor overwrites
-        it instead of copying it first.  S = S.T, so it is the transpose of
-        the C-ordered diag(w * weights) S, written in one pass."""
-        J = np.multiply(self.kernel,
-                        -(self.grid.quad_weights * weights)[:, None]).T
-        J[np.diag_indices_from(J)] += 1.0
-        return J
+    def jacobian(self, weights: np.ndarray) -> KrylovJacobian:
+        """I - S E, E = diag(w * weights), applied by Green products."""
+        return KrylovJacobian(self, self.grid.quad_weights * weights)
+
+
+@dataclass(frozen=True, eq=False)
+class KrylovJacobian:
+    """The dense Jacobian J = I - S E of a `KernelMatrix`, never formed:
+    J x = x - S (e x) and J^T x = x - e (S x), one BLAS dsymv each."""
+
+    K: KernelMatrix
+    e: np.ndarray
+
+    def matvec(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        S, dsymv = self.K.kernel.T, _blas("dsymv")
+        return (x - self.e * dsymv(1.0, S, x) if trans
+                else x - dsymv(1.0, S, self.e * x))
+
+    def factor(self) -> KrylovJacobian:
+        return self
+
+    def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        """x with J x = b (J^T x = b) by unrestarted GMRES from 0 (Saad &
+        Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with modified
+        Gram-Schmidt and Givens rotations.  It stops at a residual of
+        _GMRES_TOL (|b|_2 + |x|_2), a backward error bound as |J| ~ 1, which
+        an LU solve meets beside a fold, where x is large.  A zero pivot,
+        or _GMRES_ITERS products short of it, gives non-finite entries."""
+        beta = float(np.linalg.norm(b))
+        if beta == 0.0:
+            return np.zeros(b.shape)
+        basis, rotations = [b / beta], []
+        R = np.zeros((_GMRES_ITERS, _GMRES_ITERS))
+        g = np.append(beta, np.zeros(_GMRES_ITERS))     # rotated beta e_1
+        with np.errstate(all="ignore"):
+            for j in range(_GMRES_ITERS):
+                v = self.matvec(basis[j], trans)
+                h = R[:j + 1, j]
+                for i, q in enumerate(basis):
+                    h[i] = np.dot(q, v)
+                    v -= h[i] * q
+                norm = np.linalg.norm(v)
+                for i, (c, s) in enumerate(rotations):
+                    h[i], h[i + 1] = (c * h[i] + s * h[i + 1],
+                                      c * h[i + 1] - s * h[i])
+                r = np.hypot(h[j], norm)
+                if not r > 0.0:
+                    break
+                rotations.append((h[j] / r, norm / r))
+                h[j], g[j], g[j + 1] = r, g[j] * h[j] / r, -g[j] * norm / r
+                y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
+                if abs(g[j + 1]) <= _GMRES_TOL * (beta + np.linalg.norm(y)):
+                    return y @ basis
+                basis.append(v / norm)
+        return np.full(b.shape, np.nan)
 
 
 def _tridiagonal_factors(off, diag):
@@ -177,9 +225,6 @@ class HalfLineGreen:
     l_chunks: tuple             # (lo, hi, carry) from the bottom up
     v_chunks: tuple             # the same from the top down, reversed indices
 
-    # an O(n) Jacobian, gttrf and tangent solve cost ~1 chord step (300-20 000 nodes)
-    refactorize = True
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape)
         out[0] = 0.0
@@ -214,6 +259,10 @@ class TridiagonalJacobian:
     lam: np.ndarray
     e: np.ndarray
 
+    def factor(self) -> _TridiagonalLU:
+        return _TridiagonalLU(_tridiagonal_factors(self.off, self.diag),
+                              self.lam, self.e)
+
 
 @dataclass(frozen=True, eq=False)
 class _TridiagonalLU:
@@ -223,7 +272,7 @@ class _TridiagonalLU:
 
     def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
         # see `HalfLineGreen`; a singular T - D gives non-finite entries,
-        # returned without a warning, as by getrs
+        # returned without a warning
         with np.errstate(all="ignore"):
             if trans:
                 return self.lam * (b + self.e * _tridiagonal_solve(
@@ -285,32 +334,17 @@ def _avg_green(N: int, rho_x, z_x, rho_y, z_y, n_angles: int = _GAUSS_ANGLES):
     return np.sum(vals, axis=-1) / np.sum(w_phi)
 
 
-def check_matrix_budget(n: int, copies: int) -> None:
-    """Refuse a grid whose `copies` dense n x n float64 matrices, held at
-    once, would exceed MAX_MATRIX_BYTES."""
-    need = copies * 8 * n * n
-    if need > MAX_MATRIX_BYTES:
-        raise ValueError(f"{copies} dense {n} x {n} matrices need {need:,} "
-                         f"bytes; the memory budget is {MAX_MATRIX_BYTES:,} "
-                         "bytes")
-
-
-def check_memory_budget(dimension: int, n: int, copies: int,
-                        fields: int) -> None:
+def check_memory_budget(dimension: int, n: int, fields: int) -> None:
     """Refuse an n-node problem whose arrays, held at once, would exceed
-    MAX_MATRIX_BYTES; it needs only the node count, not the grid.
-
-    A dense grid (N = 2, 3) counts `copies` n x n matrices; its vectors are
-    negligible beside them.  A half-line grid holds no matrix: it counts
-    HALF_LINE_VECTORS length-n vectors plus the `fields` a command keeps.
-    """
-    if dimension > 1:
-        check_matrix_budget(n, copies)
-        return
+    MAX_MATRIX_BYTES: HALF_LINE_VECTORS length-n vectors and the `fields` a
+    command keeps, and on a dense grid (N = 2, 3) its one n x n matrix and
+    a full GMRES basis.  It needs only the node count, not the grid."""
     vectors = HALF_LINE_VECTORS + fields
+    if dimension > 1:
+        vectors += n + _GMRES_ITERS + 1
     need = vectors * 8 * n
     if need > MAX_MATRIX_BYTES:
-        raise ValueError(f"{vectors} vectors of {n:,} nodes need {need:,} "
+        raise ValueError(f"{vectors:,} vectors of {n:,} nodes need {need:,} "
                          f"bytes; the memory budget is {MAX_MATRIX_BYTES:,} "
                          "bytes")
 
@@ -385,7 +419,7 @@ def _assemble_dense(grid: Grid) -> KernelMatrix:
     grows with n x n, and the block size does not change a bit of the result.
     """
     n = grid.n_nodes
-    check_matrix_budget(n, copies=1)
+    check_memory_budget(2, n, 0)        # a dense operator, whatever N
     kernel = np.empty((n, n))
     if grid.dimension == 2:
         _fill_plane(grid, kernel)
@@ -662,32 +696,18 @@ def linearized_spectrum(K: GreenOperator, u: Field, p: float,
 
 def jacobian(K: GreenOperator, u: Field, p: float):
     """Jacobian I - G diag(p u^{p-1}) of the fixed-point residual at u, in
-    the form lu_factor takes.
-
-    For a dense K it is the n x n matrix, Fortran-ordered.  For N = 1 it is
-    a `TridiagonalJacobian` in the notation of `HalfLineGreen`, with
-    E = diag(w p u^{p-1}).
-    """
+    the form lu_factor takes: for a dense K the implicit `KrylovJacobian`,
+    for N = 1 a `TridiagonalJacobian` (notation of `HalfLineGreen`)."""
     return K.jacobian(p * np.maximum(u.values, 0.0) ** (p - 1.0))
 
 
 def lu_factor(J):
-    """LU factors of a Jacobian from `jacobian`; J is overwritten.
-
-    A dense J is factorized by LAPACK getrf, in place when it is
-    Fortran-ordered; the tridiagonal T - D of the N = 1 Jacobian by gttrf,
-    in O(n).  A singular J is not reported here: its solves come out with
-    non-finite entries, and no warning.
-    """
-    if isinstance(J, TridiagonalJacobian):
-        return _TridiagonalLU(_tridiagonal_factors(J.off, J.diag), J.lam, J.e)
-    lu, piv, _ = _lapack("dgetrf")(J, overwrite_a=1)
-    return lu, piv
+    """The solver of a Jacobian from `jacobian` (gttrf factors of the N = 1
+    T - D, overwriting it, or a dense J itself).  A singular J's solves have
+    non-finite entries, with no warning."""
+    return J.factor()
 
 
 def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve J x = b (trans=0) or J^T x = b (trans=1) with lu_factor's result."""
-    if isinstance(lu, _TridiagonalLU):
-        return lu.solve(b, trans)
-    return _lapack("dgetrs")(*lu, b, trans=trans)[0]
-
+    return lu.solve(b, trans)

@@ -161,8 +161,7 @@ def newton_refine(u0: Field, kappa: float, K: GreenOperator, Pmu: Field,
         res = float(np.max(np.abs(F)))
         if res <= _NEWTON_TOL:
             return Field(K.grid, u)
-        J = jacobian(K, Field(K.grid, u), p)
-        step = lu_solve(lu_factor(J), F)
+        step = lu_solve(lu_factor(jacobian(K, Field(K.grid, u), p)), F)
         if not np.all(np.isfinite(step)):
             raise NearFoldError("Newton step failed: singular Jacobian")
         if res >= 0.5 * prev_res and res > 1e3 * _NEWTON_TOL:

@@ -6,10 +6,10 @@ the decisive statistic, and free-form diagnostics.  Sample points come from
 one fixed, evenly spread set, not a random generator: the Kronecker
 sequence k (sqrt 2, sqrt 3, ...) mod 1 (equidistributed: Weyl, 1916).
 Thresholds are fixed constants: Poisson mass and kernel stacking 1e-12,
-Green symmetry 1e-12 relative, pointwise Green bound 1e-12 slack, integral
-scaling slope 0.05, norm-ratio change under refinement 10% either way, and
-the divergence rate of the borderline Green integral 10%.  Every integral
-is a fixed composite Gauss-Legendre rule (`operators.gauss_panels`).
+pointwise Green bound 1e-12 slack, integral scaling slope 0.05, norm-ratio
+change under refinement 10% either way, and the divergence rate of the
+borderline Green integral 10%.  Every integral is a fixed composite
+Gauss-Legendre rule (`operators.gauss_panels`).
 
 The weighted Green integral of the scaling check uses one fixed height rule
 for every N: composite 12-point Gauss-Legendre on (0, t), (t, 1) and
@@ -43,7 +43,6 @@ from .operators import (_BLOCK_ENTRIES, GreenOperator, _doublings,
 from .solver import monotone_iterate
 
 MASS_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 POINTWISE_SLACK = 1e-12
 SLOPE_TOL = 0.05
 REFINEMENT_GROWTH = 0.10
@@ -72,7 +71,7 @@ _BORDERLINE_EDGES = np.append(10.0 ** np.arange(-8.0, -0.5, 0.5),
 _BORDERLINE_CUTS = np.array([0, 4, 8, 10])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
     name: str
     passed: bool
@@ -145,17 +144,15 @@ def _semigroup_error(N: int, a: float, b: float, offset: float = 0.0) -> float:
 
 
 def verify_kernel_identities(grid: Grid) -> CheckReport:
-    """Boundary mass, Green symmetry/positivity, the pointwise Green bound,
-    and the kernel stacking identity, in the grid's dimension."""
+    """Boundary mass, Green positivity, the pointwise Green bound, and the
+    kernel stacking identity, in the grid's dimension.  Symmetry holds bit
+    for bit (green_G(N, y, x) does green_G(N, x, y)'s arithmetic)."""
     N = grid.dimension
     heights = [0.1, 0.5, float(np.median(grid.heights))]
     mass_err = max(_poisson_mass_error(N, t) for t in heights)
 
     x, y = _sample_points(N)
     g_xy = np.asarray(green_G(N, x, y))
-    g_yx = np.asarray(green_G(N, y, x))
-    scale = np.maximum(np.abs(g_xy), 1e-300)
-    sym_err = float(np.max(np.abs(g_xy - g_yx) / scale))
     positive = bool(np.all(g_xy > 0.0))
 
     dist = np.linalg.norm(x - y, axis=-1)
@@ -168,14 +165,13 @@ def verify_kernel_identities(grid: Grid) -> CheckReport:
                    _semigroup_error(N, 0.3, 1.1),
                    _semigroup_error(N, 0.7, 0.4, offset=1.0) if N >= 2 else 0.0)
 
-    passed = (mass_err <= MASS_TOL and sym_err <= SYMMETRY_TOL
-              and positive and violations == 0 and semi_err <= MASS_TOL)
+    passed = (mass_err <= MASS_TOL and positive and violations == 0
+              and semi_err <= MASS_TOL)
     return CheckReport(
         name=f"kernel_identities_N{N}",
         passed=passed,
-        statistic=max(mass_err, sym_err, semi_err, float(violations)),
+        statistic=max(mass_err, semi_err, float(violations)),
         details={"poisson_mass_error": mass_err,
-                 "symmetry_relative_error": sym_err,
                  "all_positive": positive,
                  "pointwise_bound_violations": violations,
                  "stacking_error": semi_err},

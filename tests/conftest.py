@@ -52,6 +52,14 @@ def dense_rho(dense, u, p):
     return float(np.linalg.eigvalsh(B)[-1])
 
 
+def dense_jacobian(dense, u, p):
+    """Independent oracle for a Jacobian solve: the n x n matrix
+    I - S diag(w p u^{p-1}) of a dense `KernelMatrix`, for
+    numpy.linalg.solve."""
+    m = dense.grid.quad_weights * p * np.maximum(u.values, 0.0) ** (p - 1.0)
+    return np.eye(dense.grid.n_nodes) - dense.kernel * m
+
+
 def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
     counted by tracemalloc, which sees every NumPy buffer.
@@ -60,7 +68,7 @@ def peak_allocation(fn, *args, **kwargs):
     first use; its loader is run here first, so their one-time module state
     is not counted as arrays the call holds."""
     _blas("dsymv")
-    for name in ("dgttrf", "dgttrs", "dgetrf", "dgetrs"):
+    for name in ("dgttrf", "dgttrs"):
         _lapack(name)
     for name in ("k0", "k1"):
         _special(name)

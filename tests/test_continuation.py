@@ -1,19 +1,17 @@
 import dataclasses
+import functools
 import json
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
-
-from scalarfield import continuation
+from scalarfield import continuation, operators
 from scalarfield.cli import OUTPUT_DIR_ENV, run_command
 from scalarfield.continuation import (Branch, detect_fold,
                                       solutions_at_kappa, trace_branch)
 from scalarfield.discretization import Field, build_grid
-from scalarfield.operators import (KernelMatrix, _assemble_dense,
-                                   assemble_green, linearized_spectrum,
-                                   poisson_trace)
+from scalarfield.operators import (_assemble_dense, assemble_green,
+                                   linearized_spectrum, poisson_trace)
 from scalarfield.solver import estimate_kappa_star, monotone_iterate, psi_map
 
 from conftest import dense_rho, peak_allocation, soliton
@@ -70,11 +68,12 @@ class TestTraceBranch:
             residual = u - psi_map(u, pt.kappa, K_line, Pmu_line, 3.0)
             assert np.max(np.abs(residual)) <= 1e-10
 
-    def test_one_factorization_per_point(self, plane, monkeypatch):
-        # a dense corrector keeps the chord, so each accepted point's
-        # tangent is the only factorization
+    def test_dense_corrector_takes_newton_steps(self, plane, monkeypatch):
+        # a dense corrector forms a fresh Jacobian at every iterate after
+        # the first, as the N = 1 one does: each Jacobian is one lu_factor
+        # call, and a point takes a few steps (the chord with one LU per
+        # point took about 15)
         _, K, Pmu, _ = plane
-        assert not K.refactorize
         calls, lu_factor = [], continuation.lu_factor
 
         def counting_lu_factor(*args, **kwargs):
@@ -82,9 +81,14 @@ class TestTraceBranch:
             return lu_factor(*args, **kwargs)
         monkeypatch.setattr(continuation, "lu_factor", counting_lu_factor)
         short = trace_branch(0.5, K, Pmu, 3.0, step=0.05, max_points=8)
-        assert len(short.points) == 8
-        assert len(calls) == len(short.points)
+        corrections = len(short.points) - 1
+        assert corrections == 7
         assert short.factorizations == len(calls)
+        assert short.corrector_steps <= 3 * corrections
+        # the first point's tangent, and one per step after a correction's
+        # first
+        assert short.factorizations == \
+            1 + short.corrector_steps - corrections
 
     def test_half_line_refactorizes_to_save_fixed_point_maps(
             self, K_line, Pmu_line, monkeypatch):
@@ -170,40 +174,33 @@ class TestTangentMemory:
                                    (previous[1], previous[2]))
         assert extra <= 16 * 8 * grid_line.n_nodes
 
-    def test_refactorizing_corrector_holds_one_new_matrix(self, plane,
-                                                          monkeypatch):
-        # refactorize at every iterate after the first: each LU is dropped
-        # before the next Jacobian forms, and the last one is the converged
-        # point's tangent
-        _, K, Pmu, u = plane
-        monkeypatch.setattr(KernelMatrix, "refactorize", True)
+    def test_dense_corrector_holds_no_new_matrix(self, plane):
+        # each Jacobian after the first is formed at an iterate, and its
+        # solver is the operator and one vector: the corrector holds GMRES
+        # bases and a few vectors, inside the vectors the budget counts
+        g, K, Pmu, u = plane
         fresh = Branch(K, Pmu, 3.0)
-        tang = fresh._tangent(u, None)         # the caller's LU stays alive
+        tang = fresh._tangent(u, None)         # the caller's solver
         result, extra = peak_allocation(fresh._correct, u, 0.5, tang, 0.5)
         assert result is not None
-        # the caller's LU and one refactorization per step after the first,
+        # the caller's solver and one Jacobian per step after the first,
         # at least two, the last of them the converged point's tangent
         assert fresh.factorizations == fresh.corrector_steps >= 3
         assert result[2][0] is not tang[0]
-        assert extra <= 1.1 * K.kernel.nbytes
+        assert extra <= _budget_vectors() * 8 * g.n_nodes
 
-    def test_lu_overwrites_the_fortran_ordered_jacobian(self, plane,
-                                                        monkeypatch):
+    def test_dense_tangent_holds_no_matrix(self, plane):
         g, K, Pmu, u = plane
-        built, jacobian = [], continuation.jacobian
+        fresh = Branch(K, Pmu, 3.0)
+        (J, du, dk), extra = peak_allocation(fresh._tangent, u, None)
+        assert J.K is K and J.e.shape == (g.n_nodes,)
+        assert extra <= _budget_vectors() * 8 * g.n_nodes
 
-        def keep(*args):
-            built.append(jacobian(*args))
-            return built[-1]
-        monkeypatch.setattr(continuation, "jacobian", keep)
-        lu, _, _ = Branch(K, Pmu, 3.0)._tangent(u, None)
-        assert built[0].flags.f_contiguous
-        assert np.shares_memory(lu[0], built[0])
-        # the same factors as SciPy's copying LU of a C-ordered Jacobian
-        J = np.ascontiguousarray(jacobian(K, Field(g, u), 3.0))
-        copied = lu_factor(J, check_finite=False)
-        assert lu[0].tobytes("F") == copied[0].tobytes("F")
-        assert np.array_equal(lu[1], copied[1])
+
+def _budget_vectors():
+    """The length-n vectors the memory budget counts for a dense command
+    besides its matrix and kept fields."""
+    return operators.HALF_LINE_VECTORS + operators._GMRES_ITERS + 1
 
 
 class TestDetectFold:
@@ -440,6 +437,35 @@ def test_dense_branch_lambda_matches_the_dense_oracle(N, nodes):
     assert max(iterations[1:]) < iterations[0]
     for pt in branch.points + [fold]:
         assert abs(pt.eigen.rho / dense_rho(K, pt.field, 3.0) - 1.0) <= 1e-12
+
+
+@functools.cache
+def point_mass_branch(N, nodes):
+    """(K, Pmu, the p = 3 branch from kappa = 0.2) on a dense grid."""
+    g = build_grid(N, 12.0, 12.0, *nodes)
+    K = assemble_green(g)
+    Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+    return K, Pmu, trace_branch(0.2, K, Pmu, 3.0)
+
+
+@pytest.mark.parametrize("N, nodes", [(2, (10, 12)), (3, (8, 12))])
+def test_dense_branch_points_solve_the_fixed_point_equation(N, nodes):
+    K, Pmu, branch = point_mass_branch(N, nodes)
+    assert branch.fold_index is not None
+    for pt in branch.points:
+        u = pt.field.values
+        assert np.max(np.abs(u - psi_map(u, pt.kappa, K, Pmu, 3.0))) <= 1e-11
+
+
+def test_dense_branch_follows_the_turning_point_loop():
+    # past the fold, the N = 2, 10 x 12 branch turns at kappa = 0.536 and
+    # again at 1.097 as the peak moves up one node.  A Newton corrector that
+    # took the first step's 21-fold residual rise jumped that loop in one
+    # step; the chord with one LU per point traced it
+    kappas = point_mass_branch(2, (10, 12))[2].kappas
+    turns = np.flatnonzero(np.diff(np.sign(np.diff(kappas)))) + 1
+    assert turns.size == 3 and turns[0] == np.argmax(kappas)
+    np.testing.assert_allclose(kappas[turns[1:]], [0.536, 1.097], atol=1e-3)
 
 
 @pytest.mark.parametrize("N, shape, bracket", [

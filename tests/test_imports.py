@@ -98,11 +98,12 @@ RUN = ("import sys\nfrom scalarfield.cli import run_command\n"
     (2, "eigen", [FBLAS, SPECIAL]),
     (2, "kappa-star", [FBLAS, SPECIAL]),
     (2, "verify", [SPECIAL]),
-    (2, "branch", [FBLAS, FLAPACK, SPECIAL]),
+    (2, "branch", [FBLAS, SPECIAL]),
 ])
 def test_command_loads_only_what_it_calls(tmp_path, N, command, loaded):
     # N = 1 kernels are exponentials and its matvec two cumulative sums;
-    # only factorizing a Jacobian needs LAPACK, only N = 2 needs K0/K1, and
+    # only factorizing an N = 1 Jacobian needs LAPACK (a dense one is
+    # solved by GMRES on the Green product), only N = 2 needs K0/K1, and
     # only a dense product BLAS dsymv.  Each comes from its extension module
     # alone: no command imports the scipy, scipy.linalg or scipy.special
     # packages.  verify samples a fixed point set, so no command loads
@@ -129,7 +130,7 @@ def test_direct_load_gives_scipys_own_functions():
     code = """
 from scalarfield.kernels import _special
 from scalarfield.operators import _blas, _lapack
-loaded = {name: _lapack(name) for name in ("dgttrf", "dgttrs", "dgetrf", "dgetrs")}
+loaded = {name: _lapack(name) for name in ("dgttrf", "dgttrs")}
 loaded.update((name, _special(name)) for name in ("k0", "k1"))
 loaded["dsymv"] = _blas("dsymv")
 import sys
@@ -141,7 +142,7 @@ print(sorted(name for name, f in loaded.items()
              or f is getattr(scipy.special, name, None)))
 """
     assert run_fresh(code) == str(sorted(
-        ["dgttrf", "dgttrs", "dgetrf", "dgetrs", "dsymv", "k0", "k1"]))
+        ["dgttrf", "dgttrs", "dsymv", "k0", "k1"]))
 
 
 FALLBACK = """

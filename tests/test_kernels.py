@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from scalarfield.discretization import build_grid
 from scalarfield.kernels import (bessel_k0, bessel_k1, fundamental_E,
                                  fundamental_dE, green_G, poisson_P)
-from scalarfield.verify import _sample_points, verify_kernel_identities
+from scalarfield.verify import _sample_points
 
 
 # K0, K1 at X_TABLE to 17 significant digits (mpmath 1.3.0 at 40 digits)
@@ -88,14 +87,10 @@ class TestGreenKernel:
     def test_swapped_arguments_give_the_same_bits(self, N):
         # green_G(N, y, x) does the arithmetic of green_G(N, x, y): |x - y|
         # and |x* - y| = |y* - x| sum the same squares, and min(x, y) is
-        # min(y, x).  So verify_kernel_identities' symmetry check reads 0.0
-        # on every run: it cannot fail
+        # min(y, x).  So verify_kernel_identities does not sample symmetry
         x, y = _sample_points(N)
         assert np.asarray(green_G(N, x, y)).tobytes() == \
             np.asarray(green_G(N, y, x)).tobytes()
-        grid = build_grid(N, 10.0, 10.0, 1 if N == 1 else 4, 8)
-        details = verify_kernel_identities(grid).details
-        assert details["symmetry_relative_error"] == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_pointwise_upper_bound(self, N):

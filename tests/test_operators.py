@@ -13,13 +13,13 @@ from scalarfield.kernels import green_G, poisson_P
 from scalarfield.operators import (EigenResult, HalfLineGreen,
                                    IterationLimitError, _assemble_dense,
                                    _cell_average, apply_green,
-                                   assemble_green, check_matrix_budget,
-                                   check_memory_budget, jacobian,
+                                   assemble_green, check_memory_budget,
+                                   jacobian,
                                    linearized_spectrum, lu_factor, lu_solve,
                                    poisson_trace)
 from scalarfield.solver import monotone_iterate
 
-from conftest import dense_rho, peak_allocation, soliton
+from conftest import dense_jacobian, dense_rho, peak_allocation, soliton
 
 # a density with kinks at the knots 1 and 2, vanishing at r_max = 3
 KINKED = {"type": "radial_density", "radii": [0.0, 1.0, 2.0, 3.0],
@@ -124,25 +124,28 @@ class TestAssembly:
             assemble_green(g)
 
     def test_budget_counts_copies_times_eight_n_squared(self):
+        # one copy: a dense problem holds its n x n matrix, and the vectors
+        # besides it include a full GMRES basis.  The largest is 23 088
+        # nodes (one matrix alone: 23 170), and a 200-point branch, which
+        # keeps 402 fields, 22 888
         assert operators.MAX_MATRIX_BYTES == 4 * 2 ** 30
-        for n, copies in ((23_170, 1), (16_384, 2), (13_377, 3)):
-            check_matrix_budget(n, copies)
-        for n, copies in ((23_171, 1), (16_385, 2), (13_378, 3)):
+        for n, fields in ((23_088, 0), (22_888, 402)):
+            check_memory_budget(2, n, fields)
             with pytest.raises(ValueError, match="memory budget"):
-                check_matrix_budget(n, copies)
+                check_memory_budget(2, n + 1, fields)
 
     def test_half_line_budget_counts_vectors(self):
         vectors = operators.HALF_LINE_VECTORS
-        check_memory_budget(1, 10 ** 6, 3, 201)
+        check_memory_budget(1, 10 ** 6, 201)
         n = operators.MAX_MATRIX_BYTES // (8 * (vectors + 201))
-        check_memory_budget(1, n, 3, 201)
+        check_memory_budget(1, n, 201)
         with pytest.raises(ValueError, match="memory budget"):
-            check_memory_budget(1, n + 1, 3, 201)
+            check_memory_budget(1, n + 1, 201)
         with pytest.raises(ValueError, match="memory budget"):
-            check_memory_budget(1, 10 ** 9, 1, 0)
-        # a dense grid is still counted in n x n matrices
+            check_memory_budget(1, 10 ** 9, 0)
+        # a dense grid also counts its n x n matrix
         with pytest.raises(ValueError, match="memory budget"):
-            check_memory_budget(2, 13_378, 3, 0)
+            check_memory_budget(2, 23_089, 0)
 
     @pytest.mark.parametrize("N, shape, block_entries", [
         (1, (1, 200), 7 * 200),          # 7-row blocks: 28 full, one of 4
@@ -520,27 +523,92 @@ class TestWarmStart:
 
 class TestJacobian:
     def test_jacobian_structure(self):
-        # N = 1 is the dense reference; every case has non-constant weights
+        # a dense Jacobian is the Green product's: its products and its
+        # transpose's are the dense matrix's.  N = 1 is the dense
+        # reference; every case has non-constant weights
         rng = np.random.default_rng(3)
         for N, shape in [(1, (1, 300)), (2, (10, 14)), (3, (6, 8))]:
             g = build_grid(N, 6.0, 6.0, *shape)
             K = _assemble_dense(g)
             u = Field(g, rng.uniform(0.1, 1.0, g.n_nodes))
             J = jacobian(K, u, 3.0)
-            assert J.flags.f_contiguous
-            m = g.quad_weights * (3.0 * u.values ** 2.0)
+            assert J.K is K and lu_factor(J) is J
             np.testing.assert_array_equal(
-                J, np.eye(g.n_nodes) - K.kernel * m[None, :])
+                J.e, g.quad_weights * (3.0 * u.values ** 2.0))
+            x = rng.uniform(-1.0, 1.0, g.n_nodes)
+            dense = dense_jacobian(K, u, 3.0)
+            for trans, A in ((0, dense), (1, dense.T)):
+                np.testing.assert_allclose(J.matvec(x, trans), A @ x,
+                                           rtol=0.0, atol=1e-13)
 
     def test_negative_part_ignored(self, grid_line, K_line, K_line_dense):
+        # E = 0, so J is the identity: a dense solve takes one product, and
+        # the N = 1 one has D = 0 and Lambda = I
         u = Field(grid_line, -np.ones(grid_line.n_nodes))
-        np.testing.assert_allclose(jacobian(K_line_dense, u, 3.0),
-                                   np.eye(grid_line.n_nodes))
-        # the N = 1 Jacobian is the identity too: E = 0, so D = 0 and
-        # Lambda = I
         b = np.cos(grid_line.heights)
-        x = lu_solve(lu_factor(jacobian(K_line, u, 3.0)), b)
-        np.testing.assert_allclose(x, b, rtol=0.0, atol=1e-12)
+        for K in (K_line_dense, K_line):
+            x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b)
+            np.testing.assert_allclose(x, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def plane_state():
+    """A dense N = 2 problem on 10 x 12 nodes and its minimal solution at
+    kappa = 2."""
+    g = build_grid(2, 12.0, 12.0, 10, 12)
+    K = assemble_green(g)
+    Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
+    return g, K, Pmu, monotone_iterate(2.0, K, Pmu, 3.0).solution
+
+
+class TestKrylovSolve:
+    """A dense Jacobian is solved by GMRES on the Green product."""
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_matches_the_dense_solve(self, plane_state, trans):
+        g, K, _, u = plane_state
+        J = dense_jacobian(K, u, 3.0)
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        ref = np.linalg.solve(J.T if trans else J, b)
+        x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b, trans=trans)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_jacobian_comes_back_non_finite(self, plane_state):
+        # J = I - S E = 0 when S = I and E = I: GMRES meets a zero pivot
+        # and stops, with no warning
+        g, _, _, _ = plane_state
+        n = g.n_nodes
+        J = operators.KrylovJacobian(
+            operators.KernelMatrix(g, np.eye(n)), np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = lu_solve(J, np.linspace(-1.0, 1.0, n))
+        assert x.shape == (n,) and not np.any(np.isfinite(x))
+
+    def test_solve_that_hits_the_cap_comes_back_non_finite(
+            self, plane_state, monkeypatch):
+        # the Green products are counted; this solve needs more than three
+        g, K, _, u = plane_state
+        products = []
+        matvec = operators.KrylovJacobian.matvec
+
+        def counting(self, x, trans=0):
+            products.append(1)
+            return matvec(self, x, trans)
+        monkeypatch.setattr(operators.KrylovJacobian, "matvec", counting)
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        J = jacobian(K, u, 3.0)
+        assert np.all(np.isfinite(lu_solve(J, b)))
+        assert 3 < len(products) <= operators._GMRES_ITERS
+        products.clear()
+        monkeypatch.setattr(operators, "_GMRES_ITERS", 3)
+        assert not np.any(np.isfinite(lu_solve(J, b)))
+        assert len(products) == 3
+
+    def test_zero_right_hand_side(self, plane_state):
+        g, K, _, u = plane_state
+        x = lu_solve(lu_factor(jacobian(K, u, 3.0)), np.zeros(g.n_nodes))
+        assert np.array_equal(x, np.zeros(g.n_nodes))
 
 
 def _sech(z):
@@ -603,18 +671,20 @@ class TestHalfLineBackend:
         g, K, dense, Pmu = half_line
         u = monotone_iterate(1.0, K, Pmu, 3.0).solution
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
-        x, ref = (lu_solve(lu_factor(jacobian(op, u, 3.0)), b, trans=trans)
-                  for op in (K, dense))
+        x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b, trans=trans)
+        J = dense_jacobian(dense, u, 3.0)
+        ref = np.linalg.solve(J.T if trans else J, b)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_two_node_jacobian_solves(self):
         g = build_grid(1, 5.0, 5.0, 1, 2, grading=1.0)
         u = Field(g, np.array([0.8, 0.3]))
         b = np.array([1.0, -2.0])
+        J = dense_jacobian(_assemble_dense(g), u, 3.0)
         for trans in (0, 1):
-            x, ref = (lu_solve(lu_factor(jacobian(op, u, 3.0)), b,
-                               trans=trans)
-                      for op in (assemble_green(g), _assemble_dense(g)))
+            x = lu_solve(lu_factor(jacobian(assemble_green(g), u, 3.0)), b,
+                         trans=trans)
+            ref = np.linalg.solve(J.T if trans else J, b)
             np.testing.assert_allclose(x, ref, rtol=1e-12)
 
     def test_spectrum(self, half_line):
@@ -640,7 +710,7 @@ class TestHalfLineBackend:
         # residual in the dense J, not by their forward error
         g, K, dense, _ = half_line
         u = Field(g, np.sqrt(2.0) * _sech(g.heights))
-        J = jacobian(dense, u, 3.0)
+        J = dense_jacobian(dense, u, 3.0)
         if trans:
             J = J.T
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
@@ -663,7 +733,8 @@ class TestHalfLineBackend:
         assert np.any(lu.factors[-1] != np.arange(1, g.n_nodes + 1))
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
         x = lu_solve(lu, b, trans=trans)
-        ref = lu_solve(lu_factor(jacobian(dense, u, 3.0)), b, trans=trans)
+        J = dense_jacobian(dense, u, 3.0)
+        ref = np.linalg.solve(J.T if trans else J, b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fold(self, half_line):

