@@ -58,7 +58,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 class Branch:
     """The points traced on the branch of one (K, Pmu, p) problem, and the
     work tracing and fold detection took: Jacobians formed, and the solves
-    besides each one's first (corrector steps, the fold's other three)."""
+    besides each one's first (corrector steps, the fold's other two)."""
 
     K: GreenOperator
     Pmu: Field
@@ -201,16 +201,19 @@ def detect_fold(branch: Branch) -> BranchPoint:
     the Perron eigenfield psi of the max-kappa branch point and c = m psi
     (m = w p u^{p-1}, w the quadrature weights), the left one, scaled to
     c . b = 1, so that g is about 1 - lambda.  Newton starts at the
-    max-kappa point.  A step forms J once and makes four solves: J^{-1} b,
-    J^{-T} c, a = J^{-1} F and d = J^{-1} Pmu.  With the left vector
-    y = J^{-T} c / (b . J^{-T} c) and v = J^{-1} b / (c . J^{-1} b),
-    grad g = p (p-1) u^{p-2} v K^T y, where K^T y = w K(y / w) because
-    K = S W with S symmetric.  The step is dkappa = (grad g . a - g) /
-    (grad g . d), u <- u - a + dkappa d.  It stops once |F| and |g| are
-    at most _NEWTON_TOL at an iterate and returns that iterate's
-    `BranchPoint`, its eigenpair refined from J^{-1} b.  A non-finite step,
-    or _FOLD_REFINE steps without a pass, returns the max-kappa point
-    itself.  Jacobians and solves are counted on the branch.
+    max-kappa point.  A step forms J once and makes three solves: J^{-1} b,
+    a = J^{-1} F and d = J^{-1} Pmu.  J = I - S E, S symmetric (S + C for
+    N = 1), E = diag(J.e), so E J = J^T E and J^T (e J^{-1} b) = e b: the
+    left vector, for the border c with the iterate's own weights, is
+    y = e J^{-1} b / (b . e J^{-1} b), with no transposed solve.  With
+    v = J^{-1} b / (c . J^{-1} b), grad g = p (p-1) u^{p-2} v K^T y, where
+    K^T y = w K(y / w) because K = S W.  The step is
+    dkappa = (grad g . a - g) / (grad g . d), u <- u - a + dkappa d.  It
+    stops once |F| and |g| are at most _NEWTON_TOL at an iterate and
+    returns that iterate's `BranchPoint`, its eigenpair refined from
+    J^{-1} b.  A non-finite step, or _FOLD_REFINE steps without a pass,
+    returns the max-kappa point itself.  Jacobians and solves are counted
+    on the branch.
     """
     if branch.fold_index is None:
         raise ValueError("branch has no fold; trace further before detecting")
@@ -224,7 +227,8 @@ def detect_fold(branch: Branch) -> BranchPoint:
     with np.errstate(all="ignore"):
         for _ in range(_FOLD_REFINE):
             F = u - psi_map(u, kappa, K, Pmu, p)
-            lu = lu_factor(jacobian(K, Field(K.grid, u), p))
+            J = jacobian(K, Field(K.grid, u), p)
+            lu = lu_factor(J)
             branch.factorizations += 1
             Jb = lu_solve(lu, b)
             if not np.all(np.isfinite(Jb)):
@@ -238,11 +242,11 @@ def detect_fold(branch: Branch) -> BranchPoint:
                     top.eigen, eigenfield=Field(K.grid, Jb)))
                 return BranchPoint(kappa=kappa, field=f, eigen=eigen,
                                    arclength=top.arclength)
-            y = lu_solve(lu, c, 1)
+            y = J.e * Jb
             y /= np.dot(b, y)
             a = lu_solve(lu, F)
             d = lu_solve(lu, Pmu.values)
-            branch.corrector_steps += 3
+            branch.corrector_steps += 2
             v = -g * Jb
             # u^{p-2} only where u > 0: it is infinite where u underflows
             # to 0.0 and p < 2

@@ -104,26 +104,24 @@ class KernelMatrix:
 @dataclass(frozen=True, eq=False)
 class KrylovJacobian:
     """The dense Jacobian J = I - S E of a `KernelMatrix`, never formed:
-    J x = x - S (e x) and J^T x = x - e (S x), one BLAS dsymv each."""
+    J x = x - S (e x), one BLAS dsymv."""
 
     K: KernelMatrix
     e: np.ndarray
 
-    def matvec(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        S, dsymv = self.K.kernel.T, _blas("dsymv")
-        return (x - self.e * dsymv(1.0, S, x) if trans
-                else x - dsymv(1.0, S, self.e * x))
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return x - _blas("dsymv")(1.0, self.K.kernel.T, self.e * x)
 
     def factor(self) -> KrylovJacobian:
         return self
 
-    def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        """x with J x = b (J^T x = b) by unrestarted GMRES from 0 (Saad &
-        Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with modified
-        Gram-Schmidt and Givens rotations.  It stops at a residual of
-        _GMRES_TOL (|b|_2 + |x|_2), a backward error bound as |J| ~ 1, which
-        an LU solve meets beside a fold, where x is large.  A zero pivot,
-        or _GMRES_ITERS products short of it, gives non-finite entries."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with J x = b by unrestarted GMRES from 0 (Saad & Schultz, SIAM
+        J. Sci. Stat. Comput. 7, 1986) with modified Gram-Schmidt and Givens
+        rotations.  It stops at a residual of _GMRES_TOL (|b|_2 + |x|_2), a
+        backward error bound as |J| ~ 1, which an LU solve meets beside a
+        fold, where x is large.  A zero pivot, or _GMRES_ITERS products short
+        of it, gives non-finite entries."""
         beta = float(np.linalg.norm(b))
         if beta == 0.0:
             return np.zeros(b.shape)
@@ -132,7 +130,7 @@ class KrylovJacobian:
         g = np.append(beta, np.zeros(_GMRES_ITERS))     # rotated beta e_1
         with np.errstate(all="ignore"):
             for j in range(_GMRES_ITERS):
-                v = self.matvec(basis[j], trans)
+                v = self.matvec(basis[j])
                 h = R[:j + 1, j]
                 for i, q in enumerate(basis):
                     h[i] = np.dot(q, v)
@@ -209,8 +207,7 @@ class HalfLineGreen:
     S_ii), E = diag(w * weights) >= 0, is solved through one gttrf of T - D,
     with Lambda = (I - C E)^{-1} in (0, 1] and D = Lambda E:
 
-        J^{-1} b = Lambda (b + (T - D)^{-1} D b),
-        J^{-T} b = Lambda (b + E (T - D)^{-1} Lambda b).
+        J^{-1} b = Lambda (b + (T - D)^{-1} D b).
     """
 
     grid: Grid
@@ -270,13 +267,10 @@ class _TridiagonalLU:
     lam: np.ndarray
     e: np.ndarray
 
-    def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         # see `HalfLineGreen`; a singular T - D gives non-finite entries,
         # returned without a warning
         with np.errstate(all="ignore"):
-            if trans:
-                return self.lam * (b + self.e * _tridiagonal_solve(
-                    self.factors, self.lam * b))
             return self.lam * (b + _tridiagonal_solve(
                 self.factors, self.lam * self.e * b))
 
@@ -708,6 +702,6 @@ def lu_factor(J):
     return J.factor()
 
 
-def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve J x = b (trans=0) or J^T x = b (trans=1) with lu_factor's result."""
-    return lu.solve(b, trans)
+def lu_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b with lu_factor's result."""
+    return lu.solve(b)

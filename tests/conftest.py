@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from scalarfield import assemble_green, build_grid, poisson_trace
 from scalarfield.kernels import _special
@@ -40,16 +41,20 @@ def soliton(heights, kappa, p=3.0):
 
 def dense_rho(dense, u, p):
     """Independent oracle for `linearized_spectrum`'s rho: the largest
-    eigenvalue of D S D, D = (W p u^{p-1})^{1/2}, by LAPACK's dense
-    symmetric eigensolver (numpy.linalg.eigvalsh), from the bare kernel S of
-    a dense `KernelMatrix`.  Rows and columns where D vanishes hold only
-    zeros, so they are left out."""
+    eigenvalue of the explicit D S D, D = (W p u^{p-1})^{1/2}, from the bare
+    kernel S of a dense `KernelMatrix`, by ARPACK's implicitly restarted
+    Lanczos (scipy.sparse.linalg.eigsh) to machine precision, with up to 40
+    basis vectors (the whole space of a smaller B, whose top gap may be too
+    small for a shorter basis), from the all-ones start, so the result is
+    deterministic.  Rows and columns where D vanishes hold only zeros, so
+    they are left out."""
     d = np.sqrt(dense.grid.quad_weights * p
                 * np.maximum(u.values, 0.0) ** (p - 1.0))
     keep = d > 0.0
     d = d[keep]
     B = d[:, None] * dense.kernel[np.ix_(keep, keep)] * d
-    return float(np.linalg.eigvalsh(B)[-1])
+    return float(eigsh(B, k=1, which="LA", tol=0.0, v0=np.ones(d.size),
+                       ncv=min(d.size, 40), return_eigenvectors=False)[0])
 
 
 def dense_jacobian(dense, u, p):

@@ -251,7 +251,7 @@ class TestCommands:
     def test_branch_reports_corrector_work(self, tmp_path, monkeypatch):
         # every factorization is one LU and one solve, every corrector step
         # a solve: a tangent is one factorization, and so is a step of the
-        # fold's Newton solve, whose other three solves are corrector steps
+        # fold's Newton solve, whose other two solves are corrector steps
         calls = {"lu_factor": 0, "lu_solve": 0}
         for name in calls:
             def counted(*args, _fn=getattr(continuation, name), _name=name,
@@ -278,10 +278,10 @@ class TestCommands:
         assert results["corrector_steps"] == (calls["lu_solve"]
                                               - calls["lu_factor"])
         assert results["factorizations"] > results["points"]
-        # the fold's steps are counted too: four solves each, and the last
+        # the fold's steps are counted too: three solves each, and the last
         # LU's one solve finds the iterate on the fold
         assert fold["lu_factor"] > 1
-        assert fold["lu_solve"] == 4 * fold["lu_factor"] - 3
+        assert fold["lu_solve"] == 3 * fold["lu_factor"] - 2
 
     def test_dense_branch_fold_matches_the_chord_trace(self, tmp_path,
                                                        monkeypatch):

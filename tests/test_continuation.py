@@ -347,9 +347,9 @@ class TestWarmEigenpairs:
 
     def test_lambda_matches_the_cold_oracle(self, warm_branch):
         # the first point's pair is the cold one.  rho is checked at every
-        # point and the fold: against the dense eigvalsh oracle on the
+        # point and the fold: against the dense ARPACK oracle on the
         # 300-node branch, and at the first, max-kappa and last points and
-        # the fold of the 2000-node ones (0.45 s a point); at their other
+        # the fold of the 2000-node ones (55 ms a point); at their other
         # points, against a cold call with tol=1e-13 (O(n) a product)
         K, p, branch, fold, _ = warm_branch
         first = branch.points[0]
@@ -406,9 +406,9 @@ class TestWarmEigenpairs:
             top, eigen=dataclasses.replace(top.eigen, eigenfield=psi))
         solved, lu_solve = [], continuation.lu_solve
 
-        def recording_lu_solve(lu, b, trans=0):
+        def recording_lu_solve(lu, b):
             solved.append(b)
-            return lu_solve(lu, b, trans)
+            return lu_solve(lu, b)
         monkeypatch.setattr(continuation, "lu_solve", recording_lu_solve)
         pt = detect_fold(dataclasses.replace(branch, points=points))
         assert solved[0] is psi.values

@@ -8,6 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import k1
 
 from scalarfield import kernels, operators
+from scalarfield.continuation import detect_fold, trace_branch
 from scalarfield.discretization import Field, build_grid
 from scalarfield.kernels import green_G, poisson_P
 from scalarfield.operators import (EigenResult, HalfLineGreen,
@@ -523,9 +524,9 @@ class TestWarmStart:
 
 class TestJacobian:
     def test_jacobian_structure(self):
-        # a dense Jacobian is the Green product's: its products and its
-        # transpose's are the dense matrix's.  N = 1 is the dense
-        # reference; every case has non-constant weights
+        # a dense Jacobian is the Green product's: its products are the
+        # dense matrix's.  N = 1 is the dense reference; every case has
+        # non-constant weights
         rng = np.random.default_rng(3)
         for N, shape in [(1, (1, 300)), (2, (10, 14)), (3, (6, 8))]:
             g = build_grid(N, 6.0, 6.0, *shape)
@@ -537,9 +538,8 @@ class TestJacobian:
                 J.e, g.quad_weights * (3.0 * u.values ** 2.0))
             x = rng.uniform(-1.0, 1.0, g.n_nodes)
             dense = dense_jacobian(K, u, 3.0)
-            for trans, A in ((0, dense), (1, dense.T)):
-                np.testing.assert_allclose(J.matvec(x, trans), A @ x,
-                                           rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(J.matvec(x), dense @ x, rtol=0.0,
+                                       atol=1e-13)
 
     def test_negative_part_ignored(self, grid_line, K_line, K_line_dense):
         # E = 0, so J is the identity: a dense solve takes one product, and
@@ -549,6 +549,17 @@ class TestJacobian:
         for K in (K_line_dense, K_line):
             x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b)
             np.testing.assert_allclose(x, b, rtol=0.0, atol=1e-12)
+
+
+def _jacobian_solve(op, dense, u, b, left):
+    """(x, A, r) with A x = r for the Jacobian J at u (p = 3), A from the
+    dense reference: x = J^{-1} b by lu_solve, A = J and r = b; or, for
+    left = 1, the fold's left vector x = e J^{-1} b, A = J^T and r = e b,
+    since E J = J^T E for E = diag(e), e = w p u^{p-1}."""
+    J = jacobian(op, u, 3.0)
+    x = lu_solve(lu_factor(J), b)
+    A = dense_jacobian(dense, u, 3.0)
+    return (J.e * x, A.T, J.e * b) if left else (x, A, b)
 
 
 @pytest.fixture(scope="module")
@@ -561,16 +572,45 @@ def plane_state():
     return g, K, Pmu, monotone_iterate(2.0, K, Pmu, 3.0).solution
 
 
-class TestKrylovSolve:
-    """A dense Jacobian is solved by GMRES on the Green product."""
+@pytest.fixture(scope="module")
+def plane_fold(plane_state):
+    """The fold state of plane_state's branch from kappa = 0.2, and the
+    state five points past it, where J has one negative eigenvalue."""
+    _, K, Pmu, _ = plane_state
+    branch = trace_branch(0.2, K, Pmu, 3.0, max_points=45)
+    past = branch.points[-1]
+    assert branch.fold_index < len(branch.points) - 1 and past.lambda_ < 1.0
+    return detect_fold(branch).field, past.field
 
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_matches_the_dense_solve(self, plane_state, trans):
+
+class TestKrylovSolve:
+    """A dense Jacobian is solved by GMRES on the Green product.  Each
+    solve is checked on its own (left = 0) and as the fold's left vector
+    e J^{-1} b (left = 1), before, at and past the fold."""
+
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_matches_the_dense_solve(self, plane_state, left):
         g, K, _, u = plane_state
-        J = dense_jacobian(K, u, 3.0)
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
-        ref = np.linalg.solve(J.T if trans else J, b)
-        x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b, trans=trans)
+        x, A, r = _jacobian_solve(K, K, u, b, left)
+        ref = np.linalg.solve(A, r)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_solves_at_the_fold(self, plane_state, plane_fold, left):
+        # J is singular to round-off here, so the solves are checked by
+        # their residual in the dense J
+        g, K, _, _ = plane_state
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        x, A, r = _jacobian_solve(K, K, plane_fold[0], b, left)
+        assert np.max(np.abs(A @ x - r)) <= 1e-10 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_solves_past_the_fold(self, plane_state, plane_fold, left):
+        g, K, _, _ = plane_state
+        b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
+        x, A, r = _jacobian_solve(K, K, plane_fold[1], b, left)
+        ref = np.linalg.solve(A, r)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_jacobian_comes_back_non_finite(self, plane_state):
@@ -592,9 +632,9 @@ class TestKrylovSolve:
         products = []
         matvec = operators.KrylovJacobian.matvec
 
-        def counting(self, x, trans=0):
+        def counting(self, x):
             products.append(1)
-            return matvec(self, x, trans)
+            return matvec(self, x)
         monkeypatch.setattr(operators.KrylovJacobian, "matvec", counting)
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
         J = jacobian(K, u, 3.0)
@@ -666,26 +706,25 @@ class TestHalfLineBackend:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_jacobian_solves(self, half_line, trans):
+    # each solve is checked on its own (left = 0) and as the fold's left
+    # vector e J^{-1} b (left = 1), before, at and past the fold
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_jacobian_solves(self, half_line, left):
         g, K, dense, Pmu = half_line
         u = monotone_iterate(1.0, K, Pmu, 3.0).solution
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
-        x = lu_solve(lu_factor(jacobian(K, u, 3.0)), b, trans=trans)
-        J = dense_jacobian(dense, u, 3.0)
-        ref = np.linalg.solve(J.T if trans else J, b)
-        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        x, A, r = _jacobian_solve(K, dense, u, b, left)
+        ref = np.linalg.solve(A, r)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_two_node_jacobian_solves(self):
         g = build_grid(1, 5.0, 5.0, 1, 2, grading=1.0)
         u = Field(g, np.array([0.8, 0.3]))
         b = np.array([1.0, -2.0])
-        J = dense_jacobian(_assemble_dense(g), u, 3.0)
-        for trans in (0, 1):
-            x = lu_solve(lu_factor(jacobian(assemble_green(g), u, 3.0)), b,
-                         trans=trans)
-            ref = np.linalg.solve(J.T if trans else J, b)
-            np.testing.assert_allclose(x, ref, rtol=1e-12)
+        for left in (0, 1):
+            x, A, r = _jacobian_solve(assemble_green(g), _assemble_dense(g),
+                                      u, b, left)
+            np.testing.assert_allclose(x, np.linalg.solve(A, r), rtol=1e-12)
 
     def test_spectrum(self, half_line):
         g, K, dense, Pmu = half_line
@@ -704,22 +743,19 @@ class TestHalfLineBackend:
                        for op in (K, dense))
         assert margin == pytest.approx(ref, rel=1e-5)
 
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_jacobian_solves_at_the_fold(self, half_line, trans):
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_jacobian_solves_at_the_fold(self, half_line, left):
         # cond(J) reaches ~1e6 here, so the solves are checked by their
         # residual in the dense J, not by their forward error
         g, K, dense, _ = half_line
         u = Field(g, np.sqrt(2.0) * _sech(g.heights))
-        J = dense_jacobian(dense, u, 3.0)
-        if trans:
-            J = J.T
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
         for op in (K, dense):
-            x = lu_solve(lu_factor(jacobian(op, u, 3.0)), b, trans=trans)
-            assert np.max(np.abs(J @ x - b)) <= 1e-10 * np.max(np.abs(x))
+            x, A, r = _jacobian_solve(op, dense, u, b, left)
+            assert np.max(np.abs(A @ x - r)) <= 1e-10 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_jacobian_solves_past_the_fold(self, half_line, trans):
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_jacobian_solves_past_the_fold(self, half_line, left):
         # on the second branch (sqrt(2) sech(x - 1), kappa = sqrt(2) sech 1)
         # J has one negative eigenvalue, and so has the symmetric
         # tridiagonal T - D that gttrf factorizes: it pivots there
@@ -729,16 +765,13 @@ class TestHalfLineBackend:
         low = eigvalsh_tridiagonal(J.diag, J.off, select="i",
                                    select_range=(0, 1))
         assert low[0] < 0.0 < low[1]
-        lu = lu_factor(J)
-        assert np.any(lu.factors[-1] != np.arange(1, g.n_nodes + 1))
+        assert np.any(lu_factor(J).factors[-1] != np.arange(1, g.n_nodes + 1))
         b = np.random.default_rng(7).uniform(-1.0, 1.0, g.n_nodes)
-        x = lu_solve(lu, b, trans=trans)
-        J = dense_jacobian(dense, u, 3.0)
-        ref = np.linalg.solve(J.T if trans else J, b)
+        x, A, r = _jacobian_solve(K, dense, u, b, left)
+        ref = np.linalg.solve(A, r)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fold(self, half_line):
-        from scalarfield.continuation import detect_fold, trace_branch
         g, K, dense, Pmu = half_line
         folds = [detect_fold(trace_branch(0.2, op, Pmu, 3.0)).kappa
                  for op in (K, dense)]
