@@ -23,10 +23,16 @@ first call of `bessel_k0`/`bessel_k1` from the extension module
 scipy.special._special_ufuncs alone (see `_scipy_module`), so no command
 imports the scipy.special package.  The tests check them independently,
 against the Wronskian I0 K1 + I1 K0 = 1/x and against tabulated values.
+
+The operators' BLAS dsymv and LAPACK dgttrf/dgttrs come from the OpenBLAS
+that NumPy has already loaded, called through ctypes (`_numpy_routines`);
+only a NumPy whose library lacks them makes the operators load SciPy's
+extension modules for BLAS and LAPACK, and with them SciPy's own OpenBLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -70,6 +76,48 @@ def _scipy_attr(private: str, public: str, name: str):
     if value is None:
         value = getattr(importlib.import_module(f"scipy.{public}"), name)
     return value
+
+
+# the BLAS and LAPACK routines the operators call, and their argument
+# types: every Fortran argument is passed by reference (a character as
+# c_char_p), and the character's length follows them all (c_size_t)
+_ROUTINES = {
+    # uplo, n, alpha, a, lda, x, incx, beta, y, incy
+    "dsymv": [ctypes.c_char_p] + [ctypes.c_void_p] * 9 + [ctypes.c_size_t],
+    # n, dl, d, du, du2, ipiv, info
+    "dgttrf": [ctypes.c_void_p] * 7,
+    # trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info
+    "dgttrs": [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t],
+}
+
+
+@functools.cache
+def _numpy_routines():
+    """{name: routine} for each of _ROUTINES in the OpenBLAS NumPy has
+    loaded, as a ctypes function taking the Fortran arguments, each by
+    reference, with 64-bit integers; None if NumPy's library lacks any.
+
+    NumPy's wheels link an ILP64 OpenBLAS whose names carry the suffix 64_
+    (scipy_dsymv_64_ from NumPy 2; dsymv_64_ in older builds), found here
+    through the handle of numpy.linalg._umath_linalg, which links it.  A
+    library with 32-bit integers has neither name, so it is never called.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    routines = {}
+    for name, argtypes in _ROUTINES.items():
+        for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
+            routine = getattr(library, symbol, None)
+            if routine is not None:
+                routine.argtypes, routine.restype = argtypes, None
+                routines[name] = routine
+                break
+        else:
+            return None
+    return routines
 
 
 # a special function by name: k0, k1

@@ -20,21 +20,26 @@ Gauss-Legendre sum, ~1e-14 relative off a tight adaptive quadrature on the
 default grids; no adaptive quadrature is left in this module.  `lu_factor` /
 `lu_solve` are the package's only solver of the Jacobian `jacobian`
 returns: LAPACK gttrf factors in O(n) for N = 1, GMRES on the Green
-product for a dense one, which is never formed (`KrylovJacobian`).  gttrf
-and the matvec's BLAS dsymv are taken on first use from the extension
-modules scipy.linalg._flapack and scipy.linalg._fblas alone (see
-`kernels._scipy_module`), so no command imports the scipy.linalg package.
+product for a dense one, which is never formed (`KrylovJacobian`).  The
+matvec's BLAS dsymv and LAPACK gttrf/gttrs are those of the OpenBLAS NumPy
+has already loaded, called through ctypes with the Fortran ABI and 64-bit
+integers (`kernels._numpy_routines`), so a command loads no second BLAS.  A
+NumPy whose library lacks them makes the operators take SciPy's wrappers
+instead, on first use, from the extension modules scipy.linalg._fblas and
+scipy.linalg._flapack alone (see `kernels._scipy_module`); no command
+imports the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Field, Grid
-from .kernels import _scipy_attr, fundamental_E, poisson_P
+from .kernels import _numpy_routines, _scipy_attr, fundamental_E, poisson_P
 
 MAX_MATRIX_BYTES = 4 * 2 ** 30
 # length-n vectors a command holds besides its fields, dense matrix and
@@ -47,10 +52,27 @@ _BLOCK_ENTRIES = 500_000
 # largest height span of one chunk of the N = 1 matvec: its scaled
 # exponentials stay within e^{+-300}, far inside float64's e^{+-709}
 _CHUNK_SPAN = 300.0
-# a LAPACK wrapper by name: dgttrf, dgttrs
+# SciPy's LAPACK wrapper by name, where NumPy's library lacks the routine:
+# dgttrf, dgttrs
 _lapack = functools.partial(_scipy_attr, "linalg._flapack", "linalg.lapack")
-# a BLAS wrapper by name: dsymv
+# SciPy's BLAS wrapper by name, likewise: dsymv
 _blas = functools.partial(_scipy_attr, "linalg._fblas", "linalg.blas")
+
+
+def _integer(value: int):
+    """A Fortran integer argument of NumPy's ILP64 OpenBLAS."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _ref(a: np.ndarray):
+    """A Fortran array argument: a reference to the first element of a
+    writable C-contiguous array of at least one element."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+_INT_1 = _integer(1)
+_DOUBLE_1 = ctypes.byref(ctypes.c_double(1.0))
+_DOUBLE_0 = ctypes.byref(ctypes.c_double(0.0))
 
 _GAUSS_ANGLES = 32
 _GAUSS_ANGLES_DIAGONAL = 256
@@ -81,7 +103,8 @@ class DegenerateLinearizationError(ValueError):
 class KernelMatrix:
     """Dense Green operator K = S W.  It stores the bare kernel S, exactly
     symmetric: kernel[i, j] = (averaged kernel)(x_i, x_j), with no
-    quadrature weight; W = diag(grid.quad_weights) is applied to vectors."""
+    quadrature weight; W = diag(grid.quad_weights) is applied to vectors.
+    S is a writable C-ordered float64 array, whose buffer BLAS reads."""
 
     grid: Grid
     kernel: np.ndarray
@@ -91,10 +114,14 @@ class KernelMatrix:
         if self.kernel.shape != (n, n):
             raise ValueError(f"kernel shape {self.kernel.shape} does not match "
                              f"grid with {n} nodes")
+        flags = self.kernel.flags
+        if not (self.kernel.dtype == np.float64 and flags.c_contiguous
+                and flags.writeable):
+            raise ValueError("kernel must be a writable C-ordered float64 "
+                             "array")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # S.T is S, and Fortran-ordered, so dsymv reads it without a copy
-        return _blas("dsymv")(1.0, self.kernel.T, self.grid.quad_weights * x)
+        return _symv(self.kernel, self.grid.quad_weights * x)
 
     def jacobian(self, weights: np.ndarray) -> KrylovJacobian:
         """I - S E, E = diag(w * weights), applied by Green products."""
@@ -110,7 +137,7 @@ class KrylovJacobian:
     e: np.ndarray
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return x - _blas("dsymv")(1.0, self.K.kernel.T, self.e * x)
+        return x - _symv(self.K.kernel, self.e * x)
 
     def factor(self) -> KrylovJacobian:
         return self
@@ -151,22 +178,72 @@ class KrylovJacobian:
         return np.full(b.shape, np.nan)
 
 
+def _symv(S: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S x for the symmetric n x n S of a `KernelMatrix` and a float64 x of
+    shape (n,), by one BLAS dsymv, which reads one triangle of S."""
+    routines = _numpy_routines()
+    if routines is None:
+        # S.T is S, and Fortran-ordered, so dsymv reads it without a copy
+        return _blas("dsymv")(1.0, S.T, x)
+    if x.shape != S.shape[:1] or x.dtype != np.float64:
+        raise ValueError(f"a {x.dtype} vector of shape {x.shape} does not "
+                         f"match a float64 kernel of shape {S.shape}")
+    y = np.zeros(x.size)
+    n = _integer(x.size)
+    # S's rows are Fortran's columns of S.T = S: uplo U reads the triangle
+    # SciPy's dsymv(1.0, S.T, x) reads, so the rounding is the same
+    routines["dsymv"](b"U", n, _DOUBLE_1, _ref(S), n, _ref(x), _INT_1,
+                      _DOUBLE_0, _ref(y), _INT_1, 1)
+    return y
+
+
 def _tridiagonal_factors(off, diag):
-    """LAPACK gttrf factors of the symmetric tridiagonal matrix with bands
-    off and diag; overwrites diag, not off."""
-    if diag.size == 2:
-        # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit row
-        off, diag = np.append(off, 0.0), np.append(diag, 1.0)
-    *factors, _ = _lapack("dgttrf")(off, diag, off, overwrite_d=1)
-    return tuple(factors)
+    """LAPACK gttrf's factors dl, d, du, du2, ipiv of the symmetric
+    tridiagonal matrix with bands off and diag; overwrites diag, not off."""
+    routines = _numpy_routines()
+    if routines is None:
+        if diag.size == 2:
+            # SciPy's gttrf/gttrs wrappers reject n = 2: border with a unit
+            # row
+            off, diag = np.append(off, 0.0), np.append(diag, 1.0)
+        *factors, _ = _lapack("dgttrf")(off, diag, off, overwrite_d=1)
+        return tuple(factors)
+    if diag.dtype != np.float64:
+        raise ValueError(f"a {diag.dtype} diagonal is not float64")
+    # dl, du and du2 take n - 1, n - 1 and n - 2 entries; one more each,
+    # so none is empty
+    n = diag.size
+    factors = (np.append(off, 0.0), diag, np.append(off, 0.0),
+               np.empty(max(n - 1, 1)), np.empty(n, np.int64))
+    routines["dgttrf"](*_fortran_factors(factors), _integer(0))
+    return factors
 
 
-def _tridiagonal_solve(factors, b):
-    dgttrs = _lapack("dgttrs")
-    n = b.size
-    if factors[1].size > n:
-        return dgttrs(*factors, np.append(b, 0.0))[0][:n]
-    return dgttrs(*factors, b)[0]
+def _fortran_factors(factors) -> tuple | None:
+    """n and references to the gttrf factors, as NumPy's gttrf and gttrs
+    take them; None where SciPy's wrappers serve."""
+    if _numpy_routines() is None:
+        return None
+    return (_integer(factors[1].size), *map(_ref, factors))
+
+
+def _tridiagonal_solve(factors, fortran, b):
+    """x with A x = b, from the gttrf factors of A and their
+    `_fortran_factors`."""
+    if fortran is None:
+        dgttrs = _lapack("dgttrs")
+        n = b.size
+        if factors[1].size > n:
+            return dgttrs(*factors, np.append(b, 0.0))[0][:n]
+        return dgttrs(*factors, b)[0]
+    x = np.array(b, dtype=float)
+    if x.shape != factors[1].shape:
+        raise ValueError(f"right-hand side shape {x.shape} does not match "
+                         f"{factors[1].size} unknowns")
+    n, *refs = fortran
+    _numpy_routines()["dgttrs"](b"N", n, _INT_1, *refs, _ref(x), n,
+                                _integer(0), 1)
+    return x
 
 
 def _carried_cumsum(v: np.ndarray, chunks) -> None:
@@ -263,16 +340,24 @@ class TridiagonalJacobian:
 
 @dataclass(frozen=True, eq=False)
 class _TridiagonalLU:
-    factors: tuple              # gttrf factors of T - D
+    factors: tuple              # gttrf factors of T - D, ipiv last
     lam: np.ndarray
     e: np.ndarray
+
+    def __post_init__(self):
+        # gttrs's references to the factors, made once for all solves
+        object.__setattr__(self, "_fortran", _fortran_factors(self.factors))
+
+    def __reduce__(self):
+        # a copy makes its references to its own factors
+        return type(self), (self.factors, self.lam, self.e)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # see `HalfLineGreen`; a singular T - D gives non-finite entries,
         # returned without a warning
         with np.errstate(all="ignore"):
             return self.lam * (b + _tridiagonal_solve(
-                self.factors, self.lam * self.e * b))
+                self.factors, self._fortran, self.lam * self.e * b))
 
 
 GreenOperator = KernelMatrix | HalfLineGreen

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 from scalarfield import assemble_green, build_grid, poisson_trace
-from scalarfield.kernels import _special
+from scalarfield.kernels import _numpy_routines, _special
 from scalarfield.operators import _assemble_dense, _blas, _lapack
 
 
@@ -69,12 +69,15 @@ def peak_allocation(fn, *args, **kwargs):
     """(fn's result, the most bytes it held at once beyond what it found),
     counted by tracemalloc, which sees every NumPy buffer.
 
-    scalarfield loads SciPy's BLAS, LAPACK and K0/K1 extension modules on
-    first use; its loader is run here first, so their one-time module state
-    is not counted as arrays the call holds."""
-    _blas("dsymv")
-    for name in ("dgttrf", "dgttrs"):
-        _lapack(name)
+    scalarfield looks up NumPy's BLAS and LAPACK routines (or, where
+    NumPy's library lacks them, loads SciPy's BLAS and LAPACK extension
+    modules) and loads SciPy's K0/K1 extension module on first use; its
+    loaders are run here first, so their one-time state is not counted as
+    arrays the call holds."""
+    if _numpy_routines() is None:
+        _blas("dsymv")
+        for name in ("dgttrf", "dgttrs"):
+            _lapack(name)
     for name in ("k0", "k1"):
         _special(name)
     tracemalloc.start()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import blas, eigvalsh_tridiagonal, lapack
 from scipy.special import k1
 
 from scalarfield import kernels, operators
@@ -776,3 +776,87 @@ class TestHalfLineBackend:
         folds = [detect_fold(trace_branch(0.2, op, Pmu, 3.0)).kappa
                  for op in (K, dense)]
         assert abs(folds[0] - folds[1]) <= 1e-10
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def route(request, monkeypatch):
+    """The BLAS/LAPACK route: NumPy's OpenBLAS through ctypes (skipped
+    where its library lacks the routines), or SciPy's wrappers, which serve
+    where NumPy's library lookup fails."""
+    if request.param == "scipy":
+        monkeypatch.setattr(operators, "_numpy_routines", lambda: None)
+    elif operators._numpy_routines() is None:
+        pytest.skip("NumPy's library lacks dsymv, dgttrf or dgttrs")
+    return request.param
+
+
+class TestRoutes:
+    """dsymv, gttrf and gttrs on either route, byte for byte against SciPy's
+    public scipy.linalg.blas and scipy.linalg.lapack."""
+
+    @pytest.mark.parametrize("n", [3, 120])
+    def test_dsymv(self, route, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        S, x = a + a.T, rng.standard_normal(n)
+        got = operators._symv(S, x)
+        assert got.tobytes() == blas.dsymv(1.0, S.T, x).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_gttrf_gttrs(self, route, n):
+        # a diagonal smaller than the off-diagonal makes gttrf pivot
+        off, diag = np.full(n - 1, 1.0), np.linspace(0.1, 0.5, n)
+        b = np.random.default_rng(n).standard_normal(n)
+        ref = lapack.dgttrf(off, diag.copy(), off)
+        assert ref[-1] == 0 and np.any(ref[4] != np.arange(1, n + 1))
+        factors = operators._tridiagonal_factors(off, diag.copy())
+        for got, want in zip(factors, ref[:5]):
+            assert got[:want.size].tobytes() == want.astype(got.dtype).tobytes()
+        x = operators._tridiagonal_solve(
+            factors, operators._fortran_factors(factors), b)
+        assert x.tobytes() == lapack.dgttrs(*ref[:5], b)[0].tobytes()
+
+    # SciPy's wrappers reject n = 2, so its route borders the system there;
+    # no other test builds a 3-node half-line grid
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_half_line_jacobian_solves(self, route, n):
+        g = build_grid(1, 5.0, 5.0, 1, n, grading=1.0)
+        u = Field(g, np.linspace(0.8, 0.3, n))
+        b = np.linspace(1.0, -2.0, n)
+        for left in (0, 1):
+            x, A, r = _jacobian_solve(assemble_green(g), _assemble_dense(g),
+                                      u, b, left)
+            np.testing.assert_allclose(x, np.linalg.solve(A, r), rtol=1e-12)
+
+    def test_mismatched_vectors_are_refused(self):
+        # NumPy's dsymv, gttrf and gttrs read n float64 entries of x, diag
+        # and b: another shape or dtype is an error, not a read past the end
+        # or of other bits (SciPy's wrappers make their own checks)
+        if operators._numpy_routines() is None:
+            pytest.skip("NumPy's library lacks dsymv, dgttrf or dgttrs")
+        factors = operators._tridiagonal_factors(np.ones(2), np.full(3, 3.0))
+        fortran = operators._fortran_factors(factors)
+        for v in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError):
+                operators._symv(np.eye(3), v)
+            with pytest.raises(ValueError):
+                operators._tridiagonal_solve(factors, fortran, v)
+        with pytest.raises(ValueError):
+            operators._symv(np.eye(3), np.ones(3, np.float32))
+        with pytest.raises(ValueError):
+            operators._tridiagonal_factors(np.ones(2), np.full(3, 3))
+
+    @pytest.mark.parametrize("layout", ["float32", "fortran", "read-only"])
+    def test_kernel_layout_is_checked(self, layout):
+        # BLAS reads the kernel's own buffer, so it must be C-ordered
+        # float64; a sub-block is not symmetric about the buffer's diagonal
+        g = build_grid(2, 4.0, 4.0, 3, 4)
+        S = assemble_green(g).kernel.copy()
+        if layout == "float32":
+            S = S.astype(np.float32)
+        elif layout == "fortran":
+            S = np.asfortranarray(S)
+        else:
+            S.flags.writeable = False
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            operators.KernelMatrix(g, S)
